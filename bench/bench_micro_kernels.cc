@@ -11,7 +11,7 @@
 #include <cstring>
 
 #include "bench/bench_common.h"
-#include "hnsw/brute_force.h"
+#include "hnsw/flat_index.h"
 #include "hnsw/hnsw_index.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -284,20 +284,20 @@ BENCHMARK(BM_HnswFilteredSearch)->Arg(2)->Arg(10)->Arg(100);
 
 void BM_BruteForceScan(benchmark::State& state) {
   const size_t n = state.range(0);
-  static BruteForceSearcher* brute = nullptr;
+  static FlatIndex* flat = nullptr;
   static size_t built_n = 0;
-  if (brute == nullptr || built_n != n) {
-    delete brute;
-    brute = new BruteForceSearcher(kIndexDim, Metric::kL2);
+  if (flat == nullptr || built_n != n) {
+    delete flat;
+    flat = new FlatIndex(kIndexDim, Metric::kL2);
     auto data = RandomVectors(n, kIndexDim, 7);
-    for (size_t i = 0; i < n; ++i) brute->Add(i, data.data() + i * kIndexDim);
+    for (size_t i = 0; i < n; ++i) flat->AddPoint(i, data.data() + i * kIndexDim);
     built_n = n;
   }
   auto queries = RandomVectors(8, kIndexDim, 8);
   size_t q = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        brute->TopKSearch(queries.data() + (q++ % 8) * kIndexDim, 10));
+        flat->BruteForceSearch(queries.data() + (q++ % 8) * kIndexDim, 10));
   }
 }
 BENCHMARK(BM_BruteForceScan)->Arg(1000)->Arg(10000);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <queue>
+#include <mutex>
+
+#include "util/topk_heap.h"
 
 namespace tigervector {
 
@@ -203,27 +205,12 @@ std::vector<SearchHit> MilvusLikeBaseline::TopK(const float* query, size_t k,
                                                 size_t ef) const {
   // Per-segment search + global merge, the same architecture TigerVector
   // uses; the difference is the runtime/proxy tax per query.
-  struct Entry {
-    float distance;
-    uint64_t label;
-    bool operator<(const Entry& o) const {
-      if (distance != o.distance) return distance < o.distance;
-      return label < o.label;
-    }
-  };
-  std::priority_queue<Entry> heap;
+  TopKHeap<uint64_t> heap(k);
   std::mutex heap_mu;
   auto search_segment = [&](size_t s) {
     auto hits = segments_[s]->TopKSearch(query, k, ef);
     std::lock_guard<std::mutex> lock(heap_mu);
-    for (const SearchHit& h : hits) {
-      if (heap.size() < k) {
-        heap.push(Entry{h.distance, h.label});
-      } else if (k > 0 && Entry{h.distance, h.label} < heap.top()) {
-        heap.pop();
-        heap.push(Entry{h.distance, h.label});
-      }
-    }
+    for (const SearchHit& h : hits) heap.Push(h.distance, h.label);
   };
   if (pool_ != nullptr && segments_.size() > 1) {
     pool_->ParallelFor(segments_.size(), search_segment);
@@ -233,49 +220,7 @@ std::vector<SearchHit> MilvusLikeBaseline::TopK(const float* query, size_t k,
   SpinWork(static_cast<uint64_t>(EstimateQueryWork(ef, dim_) * segments_.size() *
                                  overheads_.query_work_factor));
   std::vector<SearchHit> out;
-  out.reserve(heap.size());
-  while (!heap.empty()) {
-    out.push_back(SearchHit{heap.top().distance, heap.top().label});
-    heap.pop();
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
-// ---------------- Exact ----------------
-
-Status ExactBaseline::Load(const float* data, size_t n, size_t dim) {
-  if (dim != dim_) return Status::InvalidArgument("dim mismatch");
-  data_.assign(data, data + n * dim);
-  n_ = n;
-  return Status::OK();
-}
-
-Status ExactBaseline::BuildIndex(ThreadPool* pool) {
-  (void)pool;
-  return Status::OK();
-}
-
-std::vector<SearchHit> ExactBaseline::TopK(const float* query, size_t k,
-                                           size_t ef) const {
-  (void)ef;
-  std::priority_queue<std::pair<float, uint64_t>> heap;
-  for (size_t i = 0; i < n_; ++i) {
-    const float d = ComputeDistance(metric_, query, data_.data() + i * dim_, dim_);
-    if (heap.size() < k) {
-      heap.push({d, i});
-    } else if (k > 0 && d < heap.top().first) {
-      heap.pop();
-      heap.push({d, i});
-    }
-  }
-  std::vector<SearchHit> out;
-  out.reserve(heap.size());
-  while (!heap.empty()) {
-    out.push_back(SearchHit{heap.top().first, heap.top().second});
-    heap.pop();
-  }
-  std::reverse(out.begin(), out.end());
+  for (const auto& e : heap.TakeSorted()) out.push_back(SearchHit{e.distance, e.id});
   return out;
 }
 

@@ -91,26 +91,6 @@ class MilvusLikeBaseline : public VectorBaseline {
   std::vector<std::unique_ptr<HnswIndex>> segments_;
 };
 
-// TigerVector's own flat comparator for recall ground truth on baseline
-// datasets (exact scan; no overheads).
-class ExactBaseline : public VectorBaseline {
- public:
-  ExactBaseline(size_t dim, Metric metric) : dim_(dim), metric_(metric) {}
-
-  std::string name() const override { return "exact"; }
-  Status Load(const float* data, size_t n, size_t dim) override;
-  Status BuildIndex(ThreadPool* pool) override;
-  std::vector<SearchHit> TopK(const float* query, size_t k, size_t ef) const override;
-  bool supports_ef_tuning() const override { return false; }
-  bool atomic_updates() const override { return true; }
-
- private:
-  size_t dim_;
-  Metric metric_;
-  std::vector<float> data_;
-  size_t n_ = 0;
-};
-
 }  // namespace tigervector
 
 #endif  // TIGERVECTOR_BASELINES_COMPETITORS_H_

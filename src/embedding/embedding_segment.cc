@@ -6,13 +6,13 @@
 
 #include "hnsw/flat_index.h"
 #include "hnsw/ivf_index.h"
+#include "hnsw/row_scan.h"
 #include "obs/metrics.h"
 #include "simd/sq8.h"
 #include "obs/trace.h"
 #include "util/io.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
 
@@ -372,6 +372,21 @@ bool CompositeAccepts(const void* raw_ctx, uint64_t id) {
   return ctx->overrides->find(id) == ctx->overrides->end();
 }
 
+// Delta overlay (paper Sec. 4.3): offers the visible, filter-accepted
+// upserts to `scan`, which merges them with the index answer. Returns how
+// many were offered.
+size_t OfferDeltas(const std::unordered_map<VertexId, const VectorDelta*>& visible,
+                   const FilterView& filter, RowScan* scan) {
+  size_t offered = 0;
+  for (const auto& [id, delta] : visible) {
+    if (delta->action != VectorDelta::Action::kUpsert) continue;
+    if (!filter.Accepts(id)) continue;
+    ++offered;
+    if (!scan->Offer(id, delta->value.data())) break;
+  }
+  return offered;
+}
+
 }  // namespace
 
 EmbeddingSegment::SearchOutput EmbeddingSegment::TopKSearch(
@@ -405,33 +420,10 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::TopKSearch(
   }
   out.used_bruteforce = bruteforce;
 
-  TopKHeap<VertexId> heap(options.k);
-  for (const SearchHit& h : index_hits) heap.Push(h.distance, h.label);
-  // Delta overlay: gather the visible upserts and score them through the
-  // batched kernel rather than one pair call per delta.
-  std::vector<const float*> delta_rows;
-  std::vector<VertexId> delta_ids;
-  delta_rows.reserve(overrides.size());
-  delta_ids.reserve(overrides.size());
-  for (const auto& [id, delta] : overrides) {
-    if (delta->action != VectorDelta::Action::kUpsert) continue;
-    if (!options.filter.Accepts(id)) continue;
-    ++out.delta_candidates;
-    delta_rows.push_back(delta->value.data());
-    delta_ids.push_back(id);
-  }
-  if (!delta_rows.empty()) {
-    std::vector<float> delta_dists(delta_rows.size());
-    ComputeDistanceBatchGather(info_.metric, query, delta_rows.data(),
-                               info_.dimension, delta_rows.size(),
-                               delta_dists.data());
-    for (size_t i = 0; i < delta_ids.size(); ++i) {
-      heap.Push(delta_dists[i], delta_ids[i]);
-    }
-  }
-  for (const auto& e : heap.TakeSorted()) {
-    out.hits.push_back(SearchHit{e.distance, e.id});
-  }
+  RowScan merged = RowScan::TopK(query, info_.dimension, info_.metric, options.k);
+  for (const SearchHit& h : index_hits) merged.AddHit(h);
+  out.delta_candidates = OfferDeltas(overrides, options.filter, &merged);
+  out.hits = merged.Finish();
   return out;
 }
 
@@ -457,47 +449,22 @@ EmbeddingSegment::SearchOutput EmbeddingSegment::RangeSearch(
   // (the index's own RangeSearch also pins this, but the brute-force tier
   // here would otherwise approximate).
   simd::ScopedQuantQuery exact_scope(false, 0);
+  RowScan merged = RowScan::Range(query, info_.dimension, info_.metric, threshold);
   if (bruteforce) {
     for (const SearchHit& h :
          index_->BruteForceSearch(query, index_->size(), composite)) {
-      if (h.distance < threshold) out.hits.push_back(h);
+      merged.AddHit(h);
     }
     out.used_bruteforce = true;
   } else {
-    out.hits = index_->RangeSearch(query, threshold, std::max<size_t>(options.k, 16),
-                                   options.ef, composite);
-  }
-  // Delta overlay, batched (and threshold-fused: the kernel's return value
-  // tells us when no delta row survives without a second pass).
-  std::vector<const float*> delta_rows;
-  std::vector<VertexId> delta_ids;
-  delta_rows.reserve(overrides.size());
-  delta_ids.reserve(overrides.size());
-  for (const auto& [id, delta] : overrides) {
-    if (delta->action != VectorDelta::Action::kUpsert) continue;
-    if (!options.filter.Accepts(id)) continue;
-    ++out.delta_candidates;
-    delta_rows.push_back(delta->value.data());
-    delta_ids.push_back(id);
-  }
-  if (!delta_rows.empty()) {
-    std::vector<float> delta_dists(delta_rows.size());
-    const size_t below = ComputeDistanceBatchGather(
-        info_.metric, query, delta_rows.data(), info_.dimension,
-        delta_rows.size(), delta_dists.data(), threshold);
-    if (below > 0) {
-      for (size_t i = 0; i < delta_ids.size(); ++i) {
-        if (delta_dists[i] < threshold) {
-          out.hits.push_back(SearchHit{delta_dists[i], delta_ids[i]});
-        }
-      }
+    for (const SearchHit& h :
+         index_->RangeSearch(query, threshold, std::max<size_t>(options.k, 16),
+                             options.ef, composite)) {
+      merged.AddHit(h);
     }
   }
-  std::sort(out.hits.begin(), out.hits.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.label < b.label;
-            });
+  out.delta_candidates = OfferDeltas(overrides, options.filter, &merged);
+  out.hits = merged.Finish();
   return out;
 }
 

@@ -1,64 +1,51 @@
 #include "hnsw/flat_index.h"
 
-#include <algorithm>
 #include <cstring>
-#include <limits>
 #include <mutex>
 
+#include "hnsw/row_scan.h"
 #include "obs/metrics.h"
-#include "util/cancel.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
 
-namespace {
-// Scan batch size for the gathered distance kernel (see brute_force.cc).
-constexpr size_t kScanBatch = 128;
-}  // namespace
-
 Status FlatIndex::AddPoint(uint64_t label, const float* vec) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = slots_.find(label);
-  if (it != slots_.end()) {
-    std::memcpy(data_.data() + it->second.offset, vec, dim_ * sizeof(float));
-    if (it->second.deleted) {
-      it->second.deleted = false;
-      ++live_;
-    }
+  auto [it, inserted] = row_of_.try_emplace(label, labels_.size());
+  const size_t row = it->second;
+  if (inserted) {
+    data_.resize(data_.size() + dim_);
+    labels_.push_back(label);
+    deleted_.push_back(1);
     if (quant_trained_) {
-      int8_t* codes = codes_.data() + it->second.offset;
-      simd::Sq8Encode(qparams_, vec, dim_, codes);
-      norms_[it->second.offset / dim_] = simd::Sq8CodeNorm(codes, dim_);
+      codes_.resize(data_.size());
+      norms_.push_back(0);
     }
-    return Status::OK();
   }
-  Slot slot;
-  slot.offset = data_.size();
-  data_.insert(data_.end(), vec, vec + dim_);
-  order_.push_back(label);
-  slots_.emplace(label, slot);
-  ++live_;
+  std::memcpy(data_.data() + row * dim_, vec, dim_ * sizeof(float));
+  if (deleted_[row]) {
+    deleted_[row] = 0;
+    ++live_;
+  }
   if (quant_trained_) {
-    codes_.resize(data_.size());
-    int8_t* codes = codes_.data() + slot.offset;
+    int8_t* codes = codes_.data() + row * dim_;
     simd::Sq8Encode(qparams_, vec, dim_, codes);
-    norms_.push_back(simd::Sq8CodeNorm(codes, dim_));
+    norms_[row] = simd::Sq8CodeNorm(codes, dim_);
   }
   return Status::OK();
 }
 
 Status FlatIndex::TrainQuantization() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (!sq8_ || order_.empty()) return Status::OK();
+  if (!sq8_ || labels_.empty()) return Status::OK();
   simd::Sq8Trainer trainer(dim_);
-  for (size_t row = 0; row < order_.size(); ++row) {
+  for (size_t row = 0; row < labels_.size(); ++row) {
     trainer.Observe(data_.data() + row * dim_);
   }
   qparams_ = trainer.Finish();
   if (!qparams_.valid()) return Status::OK();
   codes_.resize(data_.size());
-  norms_.resize(order_.size());
-  for (size_t row = 0; row < order_.size(); ++row) {
+  norms_.resize(labels_.size());
+  for (size_t row = 0; row < labels_.size(); ++row) {
     int8_t* codes = codes_.data() + row * dim_;
     simd::Sq8Encode(qparams_, data_.data() + row * dim_, dim_, codes);
     norms_[row] = simd::Sq8CodeNorm(codes, dim_);
@@ -89,12 +76,12 @@ Status FlatIndex::UpdateItems(const std::vector<VectorIndexUpdate>& items,
 
 Status FlatIndex::MarkDeleted(uint64_t label) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = slots_.find(label);
-  if (it == slots_.end()) {
+  auto it = row_of_.find(label);
+  if (it == row_of_.end()) {
     return Status::NotFound("label " + std::to_string(label) + " not in index");
   }
-  if (!it->second.deleted) {
-    it->second.deleted = true;
+  if (!deleted_[it->second]) {
+    deleted_[it->second] = 1;
     --live_;
   }
   return Status::OK();
@@ -102,22 +89,22 @@ Status FlatIndex::MarkDeleted(uint64_t label) {
 
 bool FlatIndex::Contains(uint64_t label) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return slots_.count(label) > 0;
+  return row_of_.count(label) > 0;
 }
 
 bool FlatIndex::IsDeleted(uint64_t label) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = slots_.find(label);
-  return it == slots_.end() || it->second.deleted;
+  auto it = row_of_.find(label);
+  return it == row_of_.end() || deleted_[it->second];
 }
 
 Status FlatIndex::GetEmbedding(uint64_t label, float* out) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = slots_.find(label);
-  if (it == slots_.end()) {
+  auto it = row_of_.find(label);
+  if (it == row_of_.end()) {
     return Status::NotFound("label " + std::to_string(label) + " not in index");
   }
-  std::memcpy(out, data_.data() + it->second.offset, dim_ * sizeof(float));
+  std::memcpy(out, data_.data() + it->second * dim_, dim_ * sizeof(float));
   return Status::OK();
 }
 
@@ -133,117 +120,28 @@ std::vector<SearchHit> FlatIndex::RangeSearch(const float* query, float threshol
   (void)initial_k;
   (void)ef;
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<SearchHit> out;
-  const float* rows[kScanBatch];
-  uint64_t row_labels[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    if (ComputeDistanceBatchGather(metric_, query, rows, dim_, n, dists,
-                                   threshold) > 0) {
-      for (size_t j = 0; j < n; ++j) {
-        if (dists[j] < threshold) out.push_back(SearchHit{dists[j], row_labels[j]});
-      }
-    }
-    n = 0;
-  };
-  for (size_t row = 0; row < order_.size(); ++row) {
-    const uint64_t label = order_[row];
-    auto it = slots_.find(label);
-    if (it->second.deleted || !filter.Accepts(label)) continue;
-    rows[n] = data_.data() + it->second.offset;
-    row_labels[n] = label;
-    if (++n == kScanBatch) flush();
+  RowScan scan = RowScan::Range(query, dim_, metric_, threshold);
+  for (size_t row = 0; row < labels_.size(); ++row) {
+    if (deleted_[row] || !filter.Accepts(labels_[row])) continue;
+    if (!scan.Offer(labels_[row], data_.data() + row * dim_)) break;
   }
-  if (n > 0) flush();
-  std::sort(out.begin(), out.end(), [](const SearchHit& a, const SearchHit& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.label < b.label;
-  });
-  return out;
+  return scan.Finish();
 }
 
 std::vector<SearchHit> FlatIndex::BruteForceSearch(const float* query, size_t k,
                                                    const FilterView& filter) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const bool use_quant =
-      quant_trained_ && simd::ScopedQuantQuery::Enabled() && k > 0;
-  // Quantized scan: rank every row on int8 codes into a rerank_factor*k
-  // heap, then rescore the survivors with exact fp32 below.
-  const size_t heap_k =
-      use_quant ? std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k
-                : k;
-  std::vector<int8_t> qcode;
-  int64_t qnorm = 0;
-  if (use_quant) {
-    qcode.resize(dim_);
-    simd::Sq8Encode(qparams_, query, dim_, qcode.data());
-    qnorm = simd::Sq8CodeNorm(qcode.data(), dim_);
-  }
-  TopKHeap<uint64_t> heap(heap_k);
-  const float* rows[kScanBatch];
-  const int8_t* crows[kScanBatch];
-  int64_t cnorms[kScanBatch];
-  uint64_t row_labels[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    const float threshold = heap.full() ? heap.WorstDistance()
-                                        : std::numeric_limits<float>::infinity();
-    if (use_quant) {
-      simd::Sq8DistanceBatchGather(metric_, qcode.data(), qnorm, qparams_.scale,
-                                   crows, cnorms, dim_, n, dists, threshold);
-    } else {
-      ComputeDistanceBatchGather(metric_, query, rows, dim_, n, dists, threshold);
-    }
-    for (size_t j = 0; j < n; ++j) {
-      if (!heap.WouldReject(dists[j])) heap.Push(dists[j], row_labels[j]);
-    }
-    n = 0;
-  };
-  for (size_t row = 0; row < order_.size(); ++row) {
-    // Request deadline check; the partial heap is discarded by the caller.
-    if ((row & (kCancelCheckInterval - 1)) == 0 && CancelCheckExpired()) break;
-    const uint64_t label = order_[row];
-    auto it = slots_.find(label);
-    if (it->second.deleted || !filter.Accepts(label)) continue;
-    if (use_quant) {
-      crows[n] = codes_.data() + it->second.offset;
-      cnorms[n] = norms_[it->second.offset / dim_];
-    } else {
-      rows[n] = data_.data() + it->second.offset;
-    }
-    row_labels[n] = label;
-    if (++n == kScanBatch) flush();
-  }
-  if (n > 0) flush();
-  if (!use_quant) {
-    std::vector<SearchHit> out;
-    for (const auto& e : heap.TakeSorted()) out.push_back(SearchHit{e.distance, e.id});
-    return out;
-  }
-  // Rerank the approx-ranked survivors with exact fp32 distances.
-  const auto approx = heap.TakeSorted();
-  std::vector<SearchHit> reranked;
-  reranked.reserve(approx.size());
-  for (size_t j0 = 0; j0 < approx.size(); j0 += kScanBatch) {
-    const size_t bn = std::min(kScanBatch, approx.size() - j0);
-    for (size_t j = 0; j < bn; ++j) {
-      rows[j] = data_.data() + slots_.find(approx[j0 + j].id)->second.offset;
-    }
-    ComputeDistanceBatchGather(metric_, query, rows, dim_, bn, dists);
-    for (size_t j = 0; j < bn; ++j) {
-      reranked.push_back(SearchHit{dists[j], approx[j0 + j].id});
+  RowScan scan = RowScan::TopK(query, dim_, metric_, k,
+                               quant_trained_ ? &qparams_ : nullptr);
+  for (size_t row = 0; row < labels_.size(); ++row) {
+    if (deleted_[row] || !filter.Accepts(labels_[row])) continue;
+    const int8_t* code = quant_trained_ ? codes_.data() + row * dim_ : nullptr;
+    if (!scan.Offer(labels_[row], data_.data() + row * dim_, code,
+                    code != nullptr ? norms_[row] : 0)) {
+      break;
     }
   }
-  simd::NoteQuantScan(approx.size());
-  std::sort(reranked.begin(), reranked.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.label < b.label;
-            });
-  if (reranked.size() > k) reranked.resize(k);
-  return reranked;
+  return scan.Finish();
 }
 
 size_t FlatIndex::size() const {
@@ -255,8 +153,8 @@ std::vector<uint64_t> FlatIndex::Labels() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<uint64_t> out;
   out.reserve(live_);
-  for (const auto& [label, slot] : slots_) {
-    if (!slot.deleted) out.push_back(label);
+  for (size_t row = 0; row < labels_.size(); ++row) {
+    if (!deleted_[row]) out.push_back(labels_[row]);
   }
   return out;
 }

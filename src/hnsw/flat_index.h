@@ -51,22 +51,20 @@ class FlatIndex : public VectorIndex {
   bool quant_active() const override;
 
  private:
-  struct Slot {
-    bool deleted = false;
-    size_t offset = 0;  // into data_
-  };
-
   size_t dim_;
   Metric metric_;
   bool sq8_;
   mutable std::shared_mutex mu_;
-  std::unordered_map<uint64_t, Slot> slots_;
-  std::vector<float> data_;
-  std::vector<uint64_t> order_;  // label per stored row
+  // Rows are never moved or reused: a label keeps its row for life, and a
+  // delete only sets the row's tombstone.
+  std::unordered_map<uint64_t, size_t> row_of_;
+  std::vector<float> data_;       // dim_ floats per row
+  std::vector<uint64_t> labels_;  // per row
+  std::vector<uint8_t> deleted_;  // per row
   size_t live_ = 0;
 
   // SQ8 tier (maintained only once trained): codes_ parallels data_ byte
-  // for float, norms_ holds one code self-dot per stored row.
+  // for float, norms_ holds one code self-dot per row.
   bool quant_trained_ = false;
   simd::Sq8Params qparams_;
   std::vector<int8_t> codes_;

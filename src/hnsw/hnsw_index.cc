@@ -7,13 +7,13 @@
 #include <limits>
 #include <queue>
 
+#include "hnsw/row_scan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/cancel.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
 
@@ -107,9 +107,6 @@ inline void CountDistComps(std::atomic<uint64_t>& stat, uint64_t n) {
   TV_COUNTER_ADD("tv.hnsw.distance_evals_total", n);
 }
 
-// Fixed chunk size for gathered batch scans (see brute_force.cc).
-constexpr size_t kScanBatch = 128;
-
 inline void CountHop(std::atomic<uint64_t>& stat) {
   stat.fetch_add(1, std::memory_order_relaxed);
 #if !defined(TIGERVECTOR_NO_METRICS)
@@ -157,38 +154,23 @@ float HnswIndex::Dist(const float* query, uint32_t id) const {
 }
 
 void HnswIndex::ScoreBatchGather(const float* query, const Sq8View* qv,
-                                 const uint32_t* ids, size_t n, float* dists,
-                                 float threshold) const {
+                                 const uint32_t* ids, size_t n,
+                                 float* dists) const {
+  const float* rows[kScanBatch];
+  for (size_t j = 0; j < n; ++j) rows[j] = DataAt(ids[j]);
   if (qv == nullptr) {
-    const float* rows[kScanBatch];
-    for (size_t j = 0; j < n; ++j) rows[j] = DataAt(ids[j]);
-    ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, n, dists,
-                               threshold);
-    CountDistComps(stat_dist_comps_, n);
-    return;
-  }
-  const int8_t* crows[kScanBatch];
-  int64_t cnorms[kScanBatch];
-  size_t qpos[kScanBatch];
-  float qdists[kScanBatch];
-  size_t nq = 0;
-  for (size_t j = 0; j < n; ++j) {
-    const uint32_t id = ids[j];
-    if (id < qv->encoded) {
-      crows[nq] = qv->tier->codes.data() + size_t{id} * params_.dim;
-      cnorms[nq] = qv->tier->norms[id];
-      qpos[nq] = j;
-      ++nq;
-    } else {
-      // Inserted after training: no codes yet, score exact.
-      dists[j] = ComputeDistance(params_.metric, query, DataAt(id), params_.dim);
+    ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, n, dists);
+  } else {
+    const int8_t* codes[kScanBatch];
+    int64_t norms[kScanBatch];
+    for (size_t j = 0; j < n; ++j) {
+      const bool encoded = ids[j] < qv->encoded;
+      codes[j] =
+          encoded ? qv->tier->codes.data() + size_t{ids[j]} * params_.dim : nullptr;
+      norms[j] = encoded ? qv->tier->norms[ids[j]] : 0;
     }
-  }
-  if (nq > 0) {
-    simd::Sq8DistanceBatchGather(params_.metric, qv->qcode, qv->qnorm,
-                           qv->tier->params.scale, crows, cnorms, params_.dim, nq,
-                           qdists, threshold);
-    for (size_t j = 0; j < nq; ++j) dists[qpos[j]] = qdists[j];
+    Sq8ScoreGather(params_.metric, query, qv->query, rows, codes, norms,
+                   params_.dim, n, dists);
   }
   CountDistComps(stat_dist_comps_, n);
 }
@@ -247,8 +229,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const float* query,
   std::vector<uint8_t> visited(NodeCount(), 0);
 
   float entry_dist;
-  ScoreBatchGather(query, qv, &entry, 1, &entry_dist,
-                   std::numeric_limits<float>::infinity());
+  ScoreBatchGather(query, qv, &entry, 1, &entry_dist);
   top.push(Candidate{entry_dist, entry});
   frontier.push(Candidate{entry_dist, entry});
   visited[entry] = 1;
@@ -282,8 +263,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const float* query,
     float dists[kScanBatch];
     size_t n = 0;
     auto admit = [&] {
-      ScoreBatchGather(query, qv, ids, n, dists,
-                       std::numeric_limits<float>::infinity());
+      ScoreBatchGather(query, qv, ids, n, dists);
       for (size_t j = 0; j < n; ++j) {
         if (top.size() < ef || dists[j] < top.top().distance) {
           top.push(Candidate{dists[j], ids[j]});
@@ -710,41 +690,21 @@ std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_
     curr = GreedySearchLayer(query, curr, level);
   }
 
-  if (!use_quant) {
-    std::vector<Candidate> cands = SearchLayer(query, curr, ef, 0);
-    out.reserve(std::min(k, cands.size()));
-    for (const Candidate& c : cands) {
-      uint64_t label;
-      {
-        std::lock_guard<std::mutex> lock(node_locks_[c.id]);
-        const Node& node = nodes_[c.id];
-        if (node.deleted) continue;
-        label = node.label;
-      }
-      if (!filter.Accepts(label)) continue;
-      out.push_back(SearchHit{c.distance, label});
-      if (out.size() >= k) break;
-    }
-    return out;
+  // Quantized search widens the beam to at least the rerank budget, ranks it
+  // on int8 codes, then rescores the best rerank_factor*k surviving
+  // candidates with exact fp32, so reported distances are always exact.
+  const size_t budget = use_quant ? RerankBudget(k) : k;
+  Sq8View qv{};
+  if (use_quant) {
+    qv = Sq8View{tier.get(), Sq8Query(tier->params, query, params_.dim),
+                 tier->encoded.load(std::memory_order_acquire)};
   }
-
-  // Quantized search: widen the beam to at least the rerank budget, rank it
-  // on int8 codes, then rescore the best rerank_factor*k surviving
-  // candidates with exact fp32 — reported distances are always exact.
-  const size_t budget =
-      std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k;
-  std::vector<int8_t> qcode(params_.dim);
-  simd::Sq8Encode(tier->params, query, params_.dim, qcode.data());
-  const Sq8View qv{tier.get(), qcode.data(),
-                   simd::Sq8CodeNorm(qcode.data(), params_.dim),
-                   tier->encoded.load(std::memory_order_acquire)};
   std::vector<Candidate> cands =
-      SearchLayer(query, curr, std::max(ef, budget), 0, &qv);
-  std::vector<uint32_t> rids;
-  std::vector<uint64_t> rlabels;
-  rids.reserve(std::min(budget, cands.size()));
-  rlabels.reserve(std::min(budget, cands.size()));
+      SearchLayer(query, curr, std::max(ef, budget), 0, use_quant ? &qv : nullptr);
+  RowScan rerank = RowScan::TopK(query, params_.dim, params_.metric, k);
+  size_t kept = 0;
   for (const Candidate& c : cands) {
+    if (kept == budget) break;
     uint64_t label;
     {
       std::lock_guard<std::mutex> lock(node_locks_[c.id]);
@@ -753,53 +713,24 @@ std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_
       label = node.label;
     }
     if (!filter.Accepts(label)) continue;
-    rids.push_back(c.id);
-    rlabels.push_back(label);
-    if (rids.size() >= budget) break;
+    ++kept;
+    if (!use_quant) {
+      out.push_back(SearchHit{c.distance, label});
+    } else if (!rerank.Offer(label, DataAt(c.id))) {
+      break;
+    }
   }
-  std::vector<float> exact(rids.size());
-  for (size_t j0 = 0; j0 < rids.size(); j0 += kScanBatch) {
-    const size_t bn = std::min(kScanBatch, rids.size() - j0);
-    ScoreBatchGather(query, nullptr, rids.data() + j0, bn, exact.data() + j0,
-                     std::numeric_limits<float>::infinity());
-  }
-  simd::NoteQuantScan(rids.size());
-  std::vector<SearchHit> reranked;
-  reranked.reserve(rids.size());
-  for (size_t j = 0; j < rids.size(); ++j) {
-    reranked.push_back(SearchHit{exact[j], rlabels[j]});
-  }
-  std::sort(reranked.begin(), reranked.end(), [](const SearchHit& a, const SearchHit& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.label < b.label;
-  });
-  if (reranked.size() > k) reranked.resize(k);
-  return reranked;
+  if (!use_quant) return out;
+  out = rerank.Finish();
+  CountDistComps(stat_dist_comps_, rerank.distance_evals());
+  simd::NoteQuantScan(kept);
+  return out;
 }
 
 std::vector<SearchHit> HnswIndex::RangeSearch(const float* query, float threshold,
                                               size_t initial_k, size_t ef,
                                               const FilterView& filter) const {
-  // Range answers must stay exact in both engine tiers (the differential
-  // harness and the expanding-k median test both depend on true distances),
-  // so range search always runs on fp32 regardless of the quant tier.
-  simd::ScopedQuantQuery exact_scope(false, 0);
-  size_t k = std::max<size_t>(1, initial_k);
-  const size_t total = NodeCount();
-  std::vector<SearchHit> hits;
-  for (;;) {
-    hits = TopKSearch(query, k, std::max(ef, k), filter);
-    if (CancelCheckExpired()) break;  // caller discards via its own check
-    if (hits.size() < k) break;  // exhausted all valid points
-    const float median = hits[hits.size() / 2].distance;
-    if (threshold < median) break;
-    if (k >= total) break;
-    k = std::min(total, k * 2);
-  }
-  std::vector<SearchHit> out;
-  for (const SearchHit& h : hits) {
-    if (h.distance < threshold) out.push_back(h);
-  }
-  return out;
+  return ExpandingRangeSearch(query, threshold, initial_k, ef, filter, NodeCount());
 }
 
 std::vector<SearchHit> HnswIndex::BruteForceSearch(const float* query, size_t k,
@@ -811,40 +742,11 @@ std::vector<SearchHit> HnswIndex::BruteForceSearch(const float* query, size_t k,
     std::lock_guard<std::mutex> lock(global_mu_);
     tier = sq8_tier_;
   }
-  const bool use_quant =
-      tier != nullptr && simd::ScopedQuantQuery::Enabled() && k > 0;
-  // With a quant tier the scan ranks on int8 codes into a rerank_factor*k
-  // heap, then rescores the survivors exactly; without one it is the exact
-  // fp32 scan.
-  const size_t heap_k =
-      use_quant ? std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k
-                : k;
-  std::vector<int8_t> qcode;
-  Sq8View qv{nullptr, nullptr, 0, 0};
-  if (use_quant) {
-    qcode.resize(params_.dim);
-    simd::Sq8Encode(tier->params, query, params_.dim, qcode.data());
-    qv = Sq8View{tier.get(), qcode.data(),
-                 simd::Sq8CodeNorm(qcode.data(), params_.dim),
-                 tier->encoded.load(std::memory_order_acquire)};
-  }
-  TopKHeap<uint32_t> top(heap_k);
-  uint32_t ids[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    const float threshold = top.full() ? top.WorstDistance()
-                                       : std::numeric_limits<float>::infinity();
-    ScoreBatchGather(query, use_quant ? &qv : nullptr, ids, n, dists, threshold);
-    for (size_t j = 0; j < n; ++j) {
-      if (!top.WouldReject(dists[j])) top.Push(dists[j], ids[j]);
-    }
-    n = 0;
-  };
+  RowScan scan = RowScan::TopK(query, params_.dim, params_.metric, k,
+                               tier != nullptr ? &tier->params : nullptr);
+  const uint32_t encoded =
+      tier != nullptr ? tier->encoded.load(std::memory_order_acquire) : 0;
   for (uint32_t id = 0; id < count; ++id) {
-    // Exact scans honor the request deadline too: stop within one check
-    // interval and let the caller discard the partial heap.
-    if ((id & (kCancelCheckInterval - 1)) == 0 && CancelCheckExpired()) break;
     uint64_t label;
     {
       std::lock_guard<std::mutex> lock(node_locks_[id]);
@@ -853,51 +755,16 @@ std::vector<SearchHit> HnswIndex::BruteForceSearch(const float* query, size_t k,
       label = node.label;
     }
     if (!filter.Accepts(label)) continue;
-    ids[n] = id;
-    if (++n == kScanBatch) flush();
-  }
-  if (n > 0) flush();
-  if (!use_quant) {
-    std::vector<SearchHit> out;
-    for (const auto& e : top.TakeSorted()) {
-      uint64_t label;
-      {
-        std::lock_guard<std::mutex> lock(node_locks_[e.id]);
-        label = nodes_[e.id].label;
-      }
-      out.push_back(SearchHit{e.distance, label});
+    const int8_t* code =
+        id < encoded ? tier->codes.data() + size_t{id} * params_.dim : nullptr;
+    if (!scan.Offer(label, DataAt(id), code,
+                    code != nullptr ? tier->norms[id] : 0)) {
+      break;
     }
-    return out;
   }
-  // Rerank: exact fp32 over the approx-ranked survivors, then the true top k.
-  const auto approx = top.TakeSorted();
-  std::vector<uint32_t> rids;
-  rids.reserve(approx.size());
-  for (const auto& e : approx) rids.push_back(e.id);
-  std::vector<float> exact(rids.size());
-  for (size_t j0 = 0; j0 < rids.size(); j0 += kScanBatch) {
-    const size_t bn = std::min(kScanBatch, rids.size() - j0);
-    ScoreBatchGather(query, nullptr, rids.data() + j0, bn, exact.data() + j0,
-                     std::numeric_limits<float>::infinity());
-  }
-  simd::NoteQuantScan(rids.size());
-  std::vector<SearchHit> reranked;
-  reranked.reserve(rids.size());
-  for (size_t j = 0; j < rids.size(); ++j) {
-    uint64_t label;
-    {
-      std::lock_guard<std::mutex> lock(node_locks_[rids[j]]);
-      label = nodes_[rids[j]].label;
-    }
-    reranked.push_back(SearchHit{exact[j], label});
-  }
-  std::sort(reranked.begin(), reranked.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.label < b.label;
-            });
-  if (reranked.size() > k) reranked.resize(k);
-  return reranked;
+  std::vector<SearchHit> hits = scan.Finish();
+  CountDistComps(stat_dist_comps_, scan.distance_evals());
+  return hits;
 }
 
 Status HnswIndex::TrainQuantization() {

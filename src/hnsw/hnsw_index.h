@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hnsw/row_scan.h"
 #include "hnsw/vector_index.h"
 #include "simd/distance.h"
 #include "simd/sq8.h"
@@ -101,9 +102,9 @@ class HnswIndex : public VectorIndex {
                                      size_t initial_k, size_t ef,
                                      const FilterView& filter) const override;
 
-  // Exact scan over live (and filter-accepted) points; used when the number
-  // of valid candidates is below the brute-force threshold (paper Sec. 5.1)
-  // and for ground truth in tests.
+  // Scan over live (and filter-accepted) points through RowScan; used when
+  // the number of valid candidates is below the brute-force threshold
+  // (paper Sec. 5.1). Adds its distance evaluations to the search stats.
   std::vector<SearchHit> BruteForceSearch(const float* query, size_t k,
                                           const FilterView& filter) const override;
 
@@ -164,8 +165,7 @@ class HnswIndex : public VectorIndex {
   // snapshot, so one search scores against a consistent prefix.
   struct Sq8View {
     const Sq8Tier* tier;
-    const int8_t* qcode;
-    int64_t qnorm;
+    Sq8Query query;
     uint32_t encoded;
   };
 
@@ -174,10 +174,10 @@ class HnswIndex : public VectorIndex {
 
   // Scores `ids[0..n)` against `query` into `dists`. With a quant view,
   // encoded ids rank on int8 codes and ids past the encoded prefix (inserted
-  // after training) fall back to exact fp32 — both approximate the same
-  // metric, so beam ordering stays coherent. n <= kScanBatch.
+  // after training) fall back to exact fp32 (Sq8ScoreGather), so beam
+  // ordering stays coherent. n <= kScanBatch.
   void ScoreBatchGather(const float* query, const Sq8View* qv, const uint32_t* ids,
-                        size_t n, float* dists, float threshold) const;
+                        size_t n, float* dists) const;
 
   // Node count published for lock-free readers. nodes_ is reserved to
   // max_elements up front so its buffer never moves; a reader that acquires

@@ -5,15 +5,10 @@
 #include <limits>
 #include <mutex>
 
+#include "hnsw/row_scan.h"
 #include "obs/metrics.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
-
-namespace {
-// Scan batch size for the gathered distance kernel (see brute_force.cc).
-constexpr size_t kScanBatch = 128;
-}  // namespace
 
 IvfFlatIndex::IvfFlatIndex(const IvfParams& params)
     : params_(params), rng_(params.seed) {
@@ -236,180 +231,45 @@ std::vector<SearchHit> IvfFlatIndex::TopKSearch(const float* query, size_t k,
   }
   std::sort(ranked.begin(), ranked.end());
   const size_t nprobe = NProbeFor(ef);
-
-  const bool use_quant =
-      quant_trained_ && simd::ScopedQuantQuery::Enabled() && k > 0;
-  // Quantized probe: rank the probed lists' rows on int8 codes into a
-  // rerank_factor*k heap, rescore the survivors exactly below.
-  const size_t heap_k =
-      use_quant ? std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k
-                : k;
-  std::vector<int8_t> qcode;
-  int64_t qnorm = 0;
-  if (use_quant) {
-    qcode.resize(params_.dim);
-    simd::Sq8Encode(qparams_, query, params_.dim, qcode.data());
-    qnorm = simd::Sq8CodeNorm(qcode.data(), params_.dim);
-  }
-  TopKHeap<uint64_t> heap(heap_k);
-  const float* rows[kScanBatch];
-  const int8_t* crows[kScanBatch];
-  int64_t cnorms[kScanBatch];
-  uint64_t row_labels[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    const float threshold = heap.full() ? heap.WorstDistance()
-                                        : std::numeric_limits<float>::infinity();
-    if (use_quant) {
-      simd::Sq8DistanceBatchGather(params_.metric, qcode.data(), qnorm,
-                                   qparams_.scale, crows, cnorms, params_.dim, n,
-                                   dists, threshold);
-    } else {
-      ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, n,
-                                 dists, threshold);
-    }
-    for (size_t j = 0; j < n; ++j) {
-      if (!heap.WouldReject(dists[j])) heap.Push(dists[j], row_labels[j]);
-    }
-    n = 0;
-  };
+  RowScan scan = RowScan::TopK(query, params_.dim, params_.metric, k,
+                               quant_trained_ ? &qparams_ : nullptr);
   for (size_t p = 0; p < nprobe; ++p) {
     for (size_t idx : lists_[ranked[p].second]) {
-      const Record& rec = records_[idx];
-      if (rec.deleted || !filter.Accepts(rec.label)) continue;
-      if (use_quant) {
-        crows[n] = qcodes_[idx].data();
-        cnorms[n] = qnorms_[idx];
-      } else {
-        rows[n] = rec.value.data();
-      }
-      row_labels[n] = rec.label;
-      if (++n == kScanBatch) flush();
+      if (!OfferLocked(&scan, idx, filter)) return scan.Finish();
     }
   }
-  if (n > 0) flush();
-  if (!use_quant) {
-    std::vector<SearchHit> out;
-    for (const auto& e : heap.TakeSorted()) out.push_back(SearchHit{e.distance, e.id});
-    return out;
-  }
-  return RerankLocked(query, k, heap.TakeSorted());
+  return scan.Finish();
 }
 
-std::vector<SearchHit> IvfFlatIndex::RerankLocked(
-    const float* query, size_t k,
-    const std::vector<TopKHeap<uint64_t>::Entry>& approx) const {
-  const float* rows[kScanBatch];
-  float dists[kScanBatch];
-  std::vector<SearchHit> reranked;
-  reranked.reserve(approx.size());
-  for (size_t j0 = 0; j0 < approx.size(); j0 += kScanBatch) {
-    const size_t bn = std::min(kScanBatch, approx.size() - j0);
-    for (size_t j = 0; j < bn; ++j) {
-      rows[j] = records_[by_label_.find(approx[j0 + j].id)->second].value.data();
-    }
-    ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, bn, dists);
-    for (size_t j = 0; j < bn; ++j) {
-      reranked.push_back(SearchHit{dists[j], approx[j0 + j].id});
-    }
-  }
-  simd::NoteQuantScan(approx.size());
-  std::sort(reranked.begin(), reranked.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.label < b.label;
-            });
-  if (reranked.size() > k) reranked.resize(k);
-  return reranked;
+bool IvfFlatIndex::OfferLocked(RowScan* scan, size_t idx,
+                               const FilterView& filter) const {
+  const Record& rec = records_[idx];
+  if (rec.deleted || !filter.Accepts(rec.label)) return true;
+  const int8_t* code = quant_trained_ ? qcodes_[idx].data() : nullptr;
+  return scan->Offer(rec.label, rec.value.data(), code,
+                     code != nullptr ? qnorms_[idx] : 0);
 }
 
 std::vector<SearchHit> IvfFlatIndex::RangeSearch(const float* query, float threshold,
                                                  size_t initial_k, size_t ef,
                                                  const FilterView& filter) const {
-  // Same expanding-k adaptation used for HNSW (paper Sec. 4.4). Range
-  // answers stay exact fp32 regardless of the quant tier (the differential
-  // harness and the median stop test both depend on true distances).
-  simd::ScopedQuantQuery exact_scope(false, 0);
-  size_t k = std::max<size_t>(1, initial_k);
-  std::vector<SearchHit> hits;
   size_t total;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     total = records_.size();
   }
-  for (;;) {
-    hits = TopKSearch(query, k, std::max(ef, k), filter);
-    if (hits.size() < k) break;
-    const float median = hits[hits.size() / 2].distance;
-    if (threshold < median) break;
-    if (k >= total) break;
-    k = std::min(total, k * 2);
-  }
-  std::vector<SearchHit> out;
-  for (const SearchHit& h : hits) {
-    if (h.distance < threshold) out.push_back(h);
-  }
-  return out;
+  return ExpandingRangeSearch(query, threshold, initial_k, ef, filter, total);
 }
 
 std::vector<SearchHit> IvfFlatIndex::BruteForceSearch(const float* query, size_t k,
                                                       const FilterView& filter) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const bool use_quant =
-      quant_trained_ && simd::ScopedQuantQuery::Enabled() && k > 0;
-  const size_t heap_k =
-      use_quant ? std::max<size_t>(1, simd::ScopedQuantQuery::RerankFactor()) * k
-                : k;
-  std::vector<int8_t> qcode;
-  int64_t qnorm = 0;
-  if (use_quant) {
-    qcode.resize(params_.dim);
-    simd::Sq8Encode(qparams_, query, params_.dim, qcode.data());
-    qnorm = simd::Sq8CodeNorm(qcode.data(), params_.dim);
-  }
-  TopKHeap<uint64_t> heap(heap_k);
-  const float* rows[kScanBatch];
-  const int8_t* crows[kScanBatch];
-  int64_t cnorms[kScanBatch];
-  uint64_t row_labels[kScanBatch];
-  float dists[kScanBatch];
-  size_t n = 0;
-  auto flush = [&] {
-    const float threshold = heap.full() ? heap.WorstDistance()
-                                        : std::numeric_limits<float>::infinity();
-    if (use_quant) {
-      simd::Sq8DistanceBatchGather(params_.metric, qcode.data(), qnorm,
-                                   qparams_.scale, crows, cnorms, params_.dim, n,
-                                   dists, threshold);
-    } else {
-      ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, n,
-                                 dists, threshold);
-    }
-    for (size_t j = 0; j < n; ++j) {
-      if (!heap.WouldReject(dists[j])) heap.Push(dists[j], row_labels[j]);
-    }
-    n = 0;
-  };
+  RowScan scan = RowScan::TopK(query, params_.dim, params_.metric, k,
+                               quant_trained_ ? &qparams_ : nullptr);
   for (size_t idx = 0; idx < records_.size(); ++idx) {
-    const Record& rec = records_[idx];
-    if (rec.deleted || !filter.Accepts(rec.label)) continue;
-    if (use_quant) {
-      crows[n] = qcodes_[idx].data();
-      cnorms[n] = qnorms_[idx];
-    } else {
-      rows[n] = rec.value.data();
-    }
-    row_labels[n] = rec.label;
-    if (++n == kScanBatch) flush();
+    if (!OfferLocked(&scan, idx, filter)) break;
   }
-  if (n > 0) flush();
-  if (!use_quant) {
-    std::vector<SearchHit> out;
-    for (const auto& e : heap.TakeSorted()) out.push_back(SearchHit{e.distance, e.id});
-    return out;
-  }
-  return RerankLocked(query, k, heap.TakeSorted());
+  return scan.Finish();
 }
 
 size_t IvfFlatIndex::size() const {

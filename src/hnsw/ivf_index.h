@@ -8,9 +8,10 @@
 #include "hnsw/vector_index.h"
 #include "simd/sq8.h"
 #include "util/rng.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
+
+class RowScan;
 
 struct IvfParams {
   size_t dim = 0;
@@ -80,11 +81,9 @@ class IvfFlatIndex : public VectorIndex {
   // Requires exclusive mu_ and quant_trained_; refreshes record idx's codes.
   void EncodeRecordLocked(size_t idx);
 
-  // Requires shared mu_: exact fp32 rescore of an approx-ranked candidate
-  // set, sorted and truncated to the true top k.
-  std::vector<SearchHit> RerankLocked(
-      const float* query, size_t k,
-      const std::vector<TopKHeap<uint64_t>::Entry>& approx) const;
+  // Requires shared mu_: offers record idx to `scan` if it is live and
+  // accepted. False once the scan's deadline has expired.
+  bool OfferLocked(RowScan* scan, size_t idx, const FilterView& filter) const;
 
   IvfParams params_;
   mutable std::shared_mutex mu_;

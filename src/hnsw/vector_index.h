@@ -65,7 +65,9 @@ class VectorIndex {
                                              size_t initial_k, size_t ef,
                                              const FilterView& filter) const = 0;
 
-  // Exact scan over live, filter-accepted points.
+  // Scan over every live, filter-accepted point (RowScan). Exact fp32;
+  // with a trained SQ8 tier it ranks on codes and reranks the best
+  // rerank_factor*k in fp32, so reported distances stay exact.
   virtual std::vector<SearchHit> BruteForceSearch(const float* query, size_t k,
                                                   const FilterView& filter) const = 0;
 
@@ -96,6 +98,17 @@ class VectorIndex {
   std::vector<SearchHit> BruteForceSearch(const float* query, size_t k) const {
     return BruteForceSearch(query, k, FilterView());
   }
+
+ protected:
+  // RangeSearch through TopKSearch, after DiskANN (paper Sec. 4.4): repeat
+  // the top-k search with doubled k until the threshold falls below the
+  // median returned distance, the valid points run out, or k reaches
+  // `total` stored points. Runs in fp32 whatever the quant tier, since the
+  // differential harness and the median stop test need true distances.
+  std::vector<SearchHit> ExpandingRangeSearch(const float* query, float threshold,
+                                              size_t initial_k, size_t ef,
+                                              const FilterView& filter,
+                                              size_t total) const;
 };
 
 }  // namespace tigervector

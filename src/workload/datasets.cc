@@ -77,6 +77,7 @@ VectorDataset MakeSiftLikeWithDim(size_t dim, size_t num_base, size_t num_querie
 void ComputeGroundTruth(VectorDataset* dataset, size_t k, ThreadPool* pool) {
   dataset->gt_k = k;
   dataset->ground_truth.assign(dataset->num_queries, {});
+  if (k == 0) return;  // the scan below reads heap.top() once it is full
   auto compute_one = [&](size_t q) {
     const float* query = dataset->QueryVector(q);
     std::priority_queue<std::pair<float, uint64_t>> heap;

@@ -36,14 +36,6 @@ class BaselineFixture : public ::testing::Test {
 
 VectorDataset* BaselineFixture::dataset_ = nullptr;
 
-TEST_F(BaselineFixture, ExactBaselineMatchesGroundTruth) {
-  ExactBaseline exact(dataset_->dim, dataset_->metric);
-  ASSERT_TRUE(exact.Load(dataset_->base.data(), dataset_->num_base,
-                         dataset_->dim).ok());
-  ASSERT_TRUE(exact.BuildIndex(nullptr).ok());
-  EXPECT_DOUBLE_EQ(MeasureRecall(exact, 10, 0), 1.0);
-}
-
 TEST_F(BaselineFixture, MilvusLikeReachesHighRecallWithTuning) {
   ThreadPool pool(2);
   MilvusLikeBaseline milvus(dataset_->dim, dataset_->metric, /*segment_capacity=*/1024,

@@ -5,10 +5,11 @@
 #include <set>
 #include <vector>
 
-#include "hnsw/brute_force.h"
 #include "hnsw/hnsw_index.h"
+#include "hnsw/row_scan.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/datasets.h"
 
 namespace tigervector {
 namespace {
@@ -29,40 +30,71 @@ HnswParams SmallParams(size_t dim, size_t cap, Metric metric = Metric::kL2) {
   return p;
 }
 
+// Exact top-k labels of `query` among `labels` (indexes into `data`), from
+// the ground-truth scan over a one-query dataset of those rows. It shares no
+// code with the index under test.
+std::vector<uint64_t> ExactTopK(const std::vector<std::vector<float>>& data,
+                                const std::vector<uint64_t>& labels,
+                                const float* query, size_t k,
+                                Metric metric = Metric::kL2) {
+  VectorDataset ds;
+  ds.dim = data.empty() ? 0 : data[0].size();
+  ds.metric = metric;
+  ds.num_base = labels.size();
+  for (uint64_t label : labels) {
+    ds.base.insert(ds.base.end(), data[label].begin(), data[label].end());
+  }
+  ds.num_queries = 1;
+  ds.queries.assign(query, query + ds.dim);
+  ComputeGroundTruth(&ds, k, nullptr);
+  std::vector<uint64_t> out;
+  for (uint64_t idx : ds.ground_truth[0]) out.push_back(labels[idx]);
+  return out;
+}
+
+std::vector<uint64_t> AllLabels(size_t n) {
+  std::vector<uint64_t> labels(n);
+  for (size_t i = 0; i < n; ++i) labels[i] = i;
+  return labels;
+}
+
+// Fraction of `want` found in `got`.
+double Recall(const std::vector<SearchHit>& got, const std::vector<uint64_t>& want) {
+  std::set<uint64_t> want_ids(want.begin(), want.end());
+  size_t hit = 0;
+  for (const auto& h : got) hit += want_ids.count(h.label);
+  return static_cast<double>(hit) / std::max<size_t>(1, want.size());
+}
+
 class HnswFixture : public ::testing::Test {
  protected:
   void Build(size_t n, size_t dim, Metric metric = Metric::kL2) {
     dim_ = dim;
+    metric_ = metric;
     index_ = std::make_unique<HnswIndex>(SmallParams(dim, n + 16, metric));
-    brute_ = std::make_unique<BruteForceSearcher>(dim, metric);
     Rng rng(21);
     for (size_t i = 0; i < n; ++i) {
       auto v = RandomPoint(&rng, dim);
       ASSERT_TRUE(index_->AddPoint(i, v.data()).ok());
-      brute_->Add(i, v.data());
       data_.push_back(std::move(v));
     }
   }
 
   double AvgRecall(size_t num_queries, size_t k, size_t ef) {
     Rng rng(22);
+    const auto labels = AllLabels(data_.size());
     double total = 0;
     for (size_t q = 0; q < num_queries; ++q) {
       auto query = RandomPoint(&rng, dim_);
-      auto got = index_->TopKSearch(query.data(), k, ef);
-      auto want = brute_->TopKSearch(query.data(), k);
-      std::set<uint64_t> want_ids;
-      for (const auto& h : want) want_ids.insert(h.label);
-      size_t hit = 0;
-      for (const auto& h : got) hit += want_ids.count(h.label);
-      total += static_cast<double>(hit) / std::max<size_t>(1, want.size());
+      total += Recall(index_->TopKSearch(query.data(), k, ef),
+                      ExactTopK(data_, labels, query.data(), k, metric_));
     }
     return total / num_queries;
   }
 
   size_t dim_ = 0;
+  Metric metric_ = Metric::kL2;
   std::unique_ptr<HnswIndex> index_;
-  std::unique_ptr<BruteForceSearcher> brute_;
   std::vector<std::vector<float>> data_;
 };
 
@@ -134,11 +166,14 @@ TEST_F(HnswFixture, FilteredSearchMatchesFilteredBruteForce) {
   Rng rng(33);
   auto q = RandomPoint(&rng, 8);
   auto got = index_->TopKSearch(q.data(), 5, 400, fv);
-  auto want = brute_->TopKSearch(q.data(), 5, fv);
+  std::vector<uint64_t> accepted;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    if (bm.Test(i)) accepted.push_back(i);
+  }
+  auto want = ExactTopK(data_, accepted, q.data(), 5);
   ASSERT_FALSE(want.empty());
   // With a huge ef relative to index size, filtered recall should be high.
-  std::set<uint64_t> want_ids;
-  for (const auto& h : want) want_ids.insert(h.label);
+  std::set<uint64_t> want_ids(want.begin(), want.end());
   size_t hit = 0;
   for (const auto& h : got) hit += want_ids.count(h.label);
   EXPECT_GE(hit, want.size() - 1);
@@ -196,12 +231,16 @@ TEST_F(HnswFixture, RangeSearchMatchesBruteForce) {
   Rng rng(34);
   auto q = RandomPoint(&rng, 8);
   // Pick a threshold that captures a moderate number of points.
-  auto nearest = brute_->TopKSearch(q.data(), 30);
-  const float threshold = nearest[20].distance;
+  auto nearest = ExactTopK(data_, AllLabels(data_.size()), q.data(), 30);
+  const float threshold =
+      ComputeDistance(Metric::kL2, q.data(), data_[nearest[20]].data(), 8);
   auto got = index_->RangeSearch(q.data(), threshold, 8, 256);
-  auto want = brute_->RangeSearch(q.data(), threshold);
+  size_t want = 0;
+  for (const auto& v : data_) {
+    want += ComputeDistance(Metric::kL2, q.data(), v.data(), 8) < threshold;
+  }
   // Approximate: allow missing at most a couple of boundary points.
-  EXPECT_GE(got.size() + 2, want.size());
+  EXPECT_GE(got.size() + 2, want);
   for (const auto& h : got) EXPECT_LT(h.distance, threshold);
 }
 
@@ -226,6 +265,10 @@ TEST_F(HnswFixture, StatsAccumulate) {
   EXPECT_GT(stats.hops, 0u);
   index_->ResetStats();
   EXPECT_EQ(index_->stats().searches, 0u);
+  // The brute-force tier scores every live row once.
+  ASSERT_TRUE(index_->MarkDeleted(3).ok());
+  index_->BruteForceSearch(q.data(), 5);
+  EXPECT_EQ(index_->stats().distance_computations, 199u);
 }
 
 TEST_F(HnswFixture, SaveLoadRoundTrip) {
@@ -294,11 +337,9 @@ TEST_F(HnswFixture, UpdateItemsPerLabelOrderPreserved) {
 TEST_F(HnswFixture, ParallelBuildProducesSearchableIndex) {
   const size_t n = 1000, dim = 16;
   HnswIndex index(SmallParams(dim, n));
-  BruteForceSearcher brute(dim, Metric::kL2);
   Rng rng(41);
   std::vector<std::vector<float>> data;
   for (size_t i = 0; i < n; ++i) data.push_back(RandomPoint(&rng, dim));
-  for (size_t i = 0; i < n; ++i) brute.Add(i, data[i].data());
   ThreadPool pool(4);
   std::atomic<int> failures{0};
   pool.ParallelFor(n, [&](size_t i) {
@@ -307,16 +348,12 @@ TEST_F(HnswFixture, ParallelBuildProducesSearchableIndex) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(index.size(), n);
   // Recall sanity on the concurrently built graph.
+  const auto labels = AllLabels(n);
   double total = 0;
   for (int q = 0; q < 10; ++q) {
     auto query = RandomPoint(&rng, dim);
-    auto got = index.TopKSearch(query.data(), 10, 150);
-    auto want = brute.TopKSearch(query.data(), 10);
-    std::set<uint64_t> want_ids;
-    for (const auto& h : want) want_ids.insert(h.label);
-    size_t hit = 0;
-    for (const auto& h : got) hit += want_ids.count(h.label);
-    total += static_cast<double>(hit) / want.size();
+    total += Recall(index.TopKSearch(query.data(), 10, 150),
+                    ExactTopK(data, labels, query.data(), 10));
   }
   EXPECT_GT(total / 10, 0.85);
 }
@@ -360,32 +397,32 @@ class HnswEfSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(HnswEfSweep, RecallFloorPerEf) {
   static HnswIndex* index = nullptr;
-  static BruteForceSearcher* brute = nullptr;
-  static std::vector<std::vector<float>>* queries = nullptr;
+  static VectorDataset* truth = nullptr;
   if (index == nullptr) {
     index = new HnswIndex(SmallParams(16, 3000));
-    brute = new BruteForceSearcher(16, Metric::kL2);
-    queries = new std::vector<std::vector<float>>();
+    truth = new VectorDataset();
+    truth->dim = 16;
+    truth->num_base = 3000;
+    truth->num_queries = 15;
     Rng rng(61);
     for (size_t i = 0; i < 3000; ++i) {
       auto v = RandomPoint(&rng, 16);
       ASSERT_TRUE(index->AddPoint(i, v.data()).ok());
-      brute->Add(i, v.data());
+      truth->base.insert(truth->base.end(), v.begin(), v.end());
     }
-    for (int q = 0; q < 15; ++q) queries->push_back(RandomPoint(&rng, 16));
+    for (int q = 0; q < 15; ++q) {
+      auto v = RandomPoint(&rng, 16);
+      truth->queries.insert(truth->queries.end(), v.begin(), v.end());
+    }
+    ComputeGroundTruth(truth, 10, nullptr);
   }
   const size_t ef = GetParam();
   double total = 0;
-  for (const auto& q : *queries) {
-    auto got = index->TopKSearch(q.data(), 10, ef);
-    auto want = brute->TopKSearch(q.data(), 10);
-    std::set<uint64_t> want_ids;
-    for (const auto& h : want) want_ids.insert(h.label);
-    size_t hit = 0;
-    for (const auto& h : got) hit += want_ids.count(h.label);
-    total += static_cast<double>(hit) / want.size();
+  for (size_t q = 0; q < truth->num_queries; ++q) {
+    auto got = index->TopKSearch(truth->QueryVector(q), 10, ef);
+    total += Recall(got, truth->ground_truth[q]);
   }
-  const double recall = total / queries->size();
+  const double recall = total / truth->num_queries;
   // Loose floors: recall grows with ef.
   if (ef >= 200) EXPECT_GT(recall, 0.95);
   else if (ef >= 64) EXPECT_GT(recall, 0.8);
@@ -395,51 +432,51 @@ TEST_P(HnswEfSweep, RecallFloorPerEf) {
 INSTANTIATE_TEST_SUITE_P(EfValues, HnswEfSweep,
                          ::testing::Values(16, 32, 64, 128, 200, 400));
 
-// ---------------- BruteForceSearcher ----------------
+// ---------------- RowScan (the shared exact scan) ----------------
 
-TEST(BruteForceTest, ExactTopK) {
-  BruteForceSearcher brute(2, Metric::kL2);
+TEST(RowScanTest, ExactTopK) {
   float points[][2] = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
-  for (uint64_t i = 0; i < 4; ++i) brute.Add(i, points[i]);
   float q[2] = {0.1f, 0};
-  auto hits = brute.TopKSearch(q, 2);
+  RowScan scan = RowScan::TopK(q, 2, Metric::kL2, 2);
+  for (uint64_t i = 0; i < 4; ++i) ASSERT_TRUE(scan.Offer(i, points[i]));
+  auto hits = scan.Finish();
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].label, 0u);
   EXPECT_EQ(hits[1].label, 1u);
+  EXPECT_EQ(scan.distance_evals(), 4u);
 }
 
-TEST(BruteForceTest, RangeSearchThresholdStrict) {
-  BruteForceSearcher brute(1, Metric::kL2);
-  float v0 = 0, v1 = 1, v2 = 2;
-  brute.Add(0, &v0);
-  brute.Add(1, &v1);
-  brute.Add(2, &v2);
+TEST(RowScanTest, RangeSearchThresholdStrict) {
+  float vals[] = {0, 1, 2};
   float q = 0;
-  auto hits = brute.RangeSearch(&q, 1.0f);  // squared-L2 < 1
+  RowScan scan = RowScan::Range(&q, 1, Metric::kL2, 1.0f);  // squared-L2 < 1
+  for (uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(scan.Offer(i, &vals[i]));
+  auto hits = scan.Finish();
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].label, 0u);
 }
 
-TEST(BruteForceTest, FilterApplied) {
-  BruteForceSearcher brute(1, Metric::kL2);
+// Callers filter before they offer; the HNSW brute-force tier is one.
+TEST(RowScanTest, FilterApplied) {
+  HnswIndex index(SmallParams(1, 8));
   float vals[] = {0, 1, 2, 3};
-  for (uint64_t i = 0; i < 4; ++i) brute.Add(i, &vals[i]);
+  for (uint64_t i = 0; i < 4; ++i) ASSERT_TRUE(index.AddPoint(i, &vals[i]).ok());
   Bitmap bm(4);
   bm.Set(2);
   bm.Set(3);
   FilterView fv(&bm);
   float q = 0;
-  auto hits = brute.TopKSearch(&q, 1, fv);
+  auto hits = index.BruteForceSearch(&q, 1, fv);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].label, 2u);
 }
 
-TEST(BruteForceTest, KLargerThanData) {
-  BruteForceSearcher brute(1, Metric::kL2);
+TEST(RowScanTest, KLargerThanData) {
   float v = 5;
-  brute.Add(0, &v);
   float q = 0;
-  EXPECT_EQ(brute.TopKSearch(&q, 10).size(), 1u);
+  RowScan scan = RowScan::TopK(&q, 1, Metric::kL2, 10);
+  ASSERT_TRUE(scan.Offer(0, &v));
+  EXPECT_EQ(scan.Finish().size(), 1u);
 }
 
 }  // namespace

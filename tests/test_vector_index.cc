@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
 
@@ -7,7 +8,10 @@
 #include "hnsw/hnsw_index.h"
 #include "hnsw/ivf_index.h"
 #include "query/session.h"
+#include "simd/sq8.h"
+#include "util/cancel.h"
 #include "util/rng.h"
+#include "workload/datasets.h"
 
 namespace tigervector {
 namespace {
@@ -18,7 +22,8 @@ namespace {
 
 enum class Impl { kHnsw, kFlat, kIvf };
 
-std::unique_ptr<VectorIndex> MakeIndex(Impl impl, size_t dim, size_t capacity) {
+std::unique_ptr<VectorIndex> MakeIndex(Impl impl, size_t dim, size_t capacity,
+                                       bool sq8 = false) {
   switch (impl) {
     case Impl::kHnsw: {
       HnswParams params;
@@ -27,16 +32,18 @@ std::unique_ptr<VectorIndex> MakeIndex(Impl impl, size_t dim, size_t capacity) {
       params.m = 8;
       params.ef_construction = 64;
       params.max_elements = capacity;
+      params.sq8 = sq8;
       return std::make_unique<HnswIndex>(params);
     }
     case Impl::kFlat:
-      return std::make_unique<FlatIndex>(dim, Metric::kL2);
+      return std::make_unique<FlatIndex>(dim, Metric::kL2, sq8);
     case Impl::kIvf: {
       IvfParams params;
       params.dim = dim;
       params.metric = Metric::kL2;
       params.nlist = 8;
       params.train_threshold = 64;
+      params.sq8 = sq8;
       return std::make_unique<IvfFlatIndex>(params);
     }
   }
@@ -138,6 +145,25 @@ TEST_P(VectorIndexContract, LabelsMatchLiveSet) {
   EXPECT_EQ(labels.size(), 49u);
 }
 
+// Every exact scan polls the request deadline: under a token that has
+// already expired it stops at its first row and returns nothing.
+TEST_P(VectorIndexContract, ExpiredDeadlineScansReturnNothing) {
+  auto index = MakeIndex(GetParam(), kDim, 300);
+  Fill(index.get(), 200);
+  CancelToken token;
+  token.SetDeadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  ScopedCancel scope(&token);
+  const float* query = data_[0].data();
+  EXPECT_TRUE(index->BruteForceSearch(query, 10).empty());
+  // HNSW's TopKSearch is a graph beam, which polls per hop instead.
+  if (GetParam() != Impl::kHnsw) {
+    EXPECT_TRUE(index->TopKSearch(query, 10, 64).empty());
+  }
+  if (GetParam() == Impl::kFlat) {
+    EXPECT_TRUE(index->RangeSearch(query, 1e9f, 8, 64).empty());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Impls, VectorIndexContract,
                          ::testing::Values(Impl::kHnsw, Impl::kFlat, Impl::kIvf),
                          [](const ::testing::TestParamInfo<Impl>& info) {
@@ -148,6 +174,86 @@ INSTANTIATE_TEST_SUITE_P(Impls, VectorIndexContract,
                            }
                            return "?";
                          });
+
+// ---------------- One scan behind every index ----------------
+
+// FLAT, IVF and HNSW brute-force scans go through the same RowScan, so on
+// the same rows they must agree bit for bit, distance ties included: ties
+// break on the label, never on insertion order or an internal id. At fp32
+// they must also match the independent ground-truth scan.
+TEST(ScanParityTest, BruteForceIdenticalAcrossIndexes) {
+  constexpr size_t kDim = 4, kRows = 300;
+  // Small integer coordinates: distances are exact and heavily duplicated.
+  std::vector<std::vector<float>> rows(kRows);  // by label
+  std::vector<uint64_t> insert_order;
+  for (size_t i = 0; i < kRows; ++i) {
+    const uint64_t label = (i * 97) % kRows;  // labels out of order
+    insert_order.push_back(label);
+    rows[label] = {static_cast<float>(i % 5), static_cast<float>(i % 4),
+                   static_cast<float>(i % 3), 0.f};
+  }
+  Bitmap bm(kRows);
+  std::vector<uint64_t> accepted;  // ascending label
+  for (uint64_t label = 0; label < kRows; ++label) {
+    if (label % 3 != 0) {
+      bm.Set(label);
+      accepted.push_back(label);
+    }
+  }
+  const FilterView filter(&bm);
+  const std::vector<float> query = {2, 1, 1, 0};
+
+  for (bool sq8 : {false, true}) {
+    std::vector<std::unique_ptr<VectorIndex>> indexes;
+    for (Impl impl : {Impl::kFlat, Impl::kIvf, Impl::kHnsw}) {
+      indexes.push_back(MakeIndex(impl, kDim, kRows, sq8));
+      for (uint64_t label : insert_order) {
+        ASSERT_TRUE(indexes.back()->AddPoint(label, rows[label].data()).ok());
+      }
+      if (sq8) {
+        ASSERT_TRUE(indexes.back()->TrainQuantization().ok());
+        ASSERT_TRUE(indexes.back()->quant_active());
+      }
+    }
+    for (size_t rerank : {1, 3}) {
+      for (size_t k : {1, 10, 40}) {
+        SCOPED_TRACE(std::string(sq8 ? "sq8" : "fp32") + " rerank=" +
+                     std::to_string(rerank) + " k=" + std::to_string(k));
+        simd::ScopedQuantQuery quant_scope(true, rerank);
+        const auto flat = indexes[0]->BruteForceSearch(query.data(), k, filter);
+        ASSERT_EQ(flat.size(), k);
+        for (size_t i = 1; i < indexes.size(); ++i) {
+          const auto other = indexes[i]->BruteForceSearch(query.data(), k, filter);
+          ASSERT_EQ(other.size(), flat.size()) << indexes[i]->index_type();
+          for (size_t j = 0; j < flat.size(); ++j) {
+            EXPECT_EQ(other[j].label, flat[j].label) << indexes[i]->index_type();
+            EXPECT_EQ(other[j].distance, flat[j].distance) << indexes[i]->index_type();
+          }
+        }
+        if (sq8) {
+          EXPECT_GT(quant_scope.quant_scans(), 0u);
+          continue;
+        }
+        VectorDataset truth;
+        truth.dim = kDim;
+        truth.num_base = accepted.size();
+        for (uint64_t label : accepted) {
+          truth.base.insert(truth.base.end(), rows[label].begin(), rows[label].end());
+        }
+        truth.num_queries = 1;
+        truth.queries = query;
+        ComputeGroundTruth(&truth, k, nullptr);
+        ASSERT_EQ(truth.ground_truth[0].size(), k);
+        for (size_t j = 0; j < k; ++j) {
+          const uint64_t want = accepted[truth.ground_truth[0][j]];
+          EXPECT_EQ(flat[j].label, want) << "rank " << j;
+          EXPECT_EQ(flat[j].distance, ComputeDistance(Metric::kL2, query.data(),
+                                                      rows[want].data(), kDim));
+        }
+      }
+    }
+  }
+}
 
 // ---------------- IVF-specific behaviour ----------------
 

@@ -76,6 +76,14 @@ TEST(DatasetTest, GroundTruthParallelMatchesSequential) {
   EXPECT_EQ(a.ground_truth, b.ground_truth);
 }
 
+TEST(DatasetTest, GroundTruthWithZeroKIsEmpty) {
+  auto ds = MakeSiftLike(50, 3);
+  ComputeGroundTruth(&ds, 0, nullptr);
+  EXPECT_EQ(ds.gt_k, 0u);
+  ASSERT_EQ(ds.ground_truth.size(), 3u);
+  for (const auto& truth : ds.ground_truth) EXPECT_TRUE(truth.empty());
+}
+
 TEST(DatasetTest, RecallComputation) {
   VectorDataset ds;
   ds.gt_k = 4;
