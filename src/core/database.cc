@@ -57,9 +57,6 @@ Result<Database::RecoveryReport> Database::Recover(const RecoveryOptions& option
 
 Result<size_t> Database::Vacuum() {
   TV_RETURN_NOT_OK(embeddings_->RunDeltaMerge().status());
-  // The index merge is the expensive stage; use the adaptive thread count
-  // so foreground queries stay responsive.
-  (void)embeddings_->SuggestVacuumThreads();
   auto merged = embeddings_->RunIndexMerge(pool_.get());
   if (!merged.ok()) return merged.status();
   store_->VacuumGraph();
@@ -69,6 +66,23 @@ Result<size_t> Database::Vacuum() {
 Result<VertexSet> Database::VectorSearch(
     const std::vector<std::pair<std::string, std::string>>& attrs,
     const std::vector<float>& query, size_t k, const VectorSearchFnOptions& options) {
+  auto result = Search(attrs, query, k, std::nullopt, options);
+  if (!result.ok()) return result.status();
+  if (options.result_stats != nullptr) *options.result_stats = *result;
+  VertexSet out;
+  for (const SearchHit& hit : result->hits) {
+    out.insert(hit.label);
+    if (options.distance_map != nullptr) {
+      (*options.distance_map)[hit.label] = hit.distance;
+    }
+  }
+  return out;
+}
+
+Result<VectorSearchResult> Database::Search(
+    const std::vector<std::pair<std::string, std::string>>& attrs,
+    const std::vector<float>& query, size_t k, std::optional<float> range,
+    const VectorSearchFnOptions& options) {
   // Drop attributes whose vertex type the role cannot read (their vectors
   // are "unauthorized", paper Sec. 5.1); fail only when nothing remains.
   std::vector<std::pair<std::string, std::string>> permitted;
@@ -120,52 +134,31 @@ Result<VertexSet> Database::VectorSearch(
   // search answers at exactly this tid and the result cache keys on it.
   request.read_tid =
       options.read_tid != kMaxTid ? options.read_tid : store_->visible_tid();
-  // The candidate set is fingerprinted once per search (it is the same for
-  // every attribute); the O(vid_upper_bound) bitmap materialization is
-  // deferred into the miss path so a warm cache hit skips it entirely.
-  cache::Fingerprint filter_fp;
+  // The O(vid_upper_bound) filter bitmap is built only when the search
+  // runs, so a warm cache hit skips it. With a simulated MPP cluster the
+  // search scatters to the logical servers and gathers their local answers;
+  // the merge keeps the result bit-identical to the single-node path, so
+  // both share one cache.
   Bitmap filter_bitmap;
-  std::function<Status()> materialize;
-  if (options.filter != nullptr) {
-    filter_fp = cache::FingerprintIdSetUnordered(*options.filter);
-    materialize = [&]() {
+  auto run = [&]() -> Result<VectorSearchResult> {
+    if (options.filter != nullptr) {
       filter_bitmap = VertexSetToBitmap(*options.filter, store_->vid_upper_bound());
       request.filter = FilterView(&filter_bitmap);
-      return Status::OK();
-    };
-  }
-  auto result = CachedTopK(request, query.size(), filter_fp, options.bypass_cache,
-                           materialize, options.mpp_stats, options.cache_outcome);
-  if (!result.ok()) return result.status();
-  if (options.result_stats != nullptr) *options.result_stats = *result;
-  VertexSet out;
-  for (const SearchHit& hit : result->hits) {
-    out.insert(hit.label);
-    if (options.distance_map != nullptr) {
-      (*options.distance_map)[hit.label] = hit.distance;
     }
-  }
-  return out;
-}
-
-Result<VectorSearchResult> Database::CachedTopK(
-    VectorSearchRequest& request, size_t query_dim,
-    const cache::Fingerprint& filter_fp, bool bypass_cache,
-    const std::function<Status()>& materialize_filter,
-    Cluster::DistributedStats* mpp_stats, cache::Outcome* outcome) {
-  // With a simulated MPP cluster the search scatters to the logical servers
-  // and gathers their local top-k lists; the merge invariant keeps the
-  // result bit-identical to the single-node path, so both share one cache.
-  auto run = [&]() -> Result<VectorSearchResult> {
-    if (materialize_filter != nullptr) TV_RETURN_NOT_OK(materialize_filter());
-    return cluster_ != nullptr ? cluster_->DistributedTopK(request, mpp_stats)
+    if (range.has_value()) {
+      return cluster_ != nullptr
+                 ? cluster_->DistributedRange(request, *range, options.mpp_stats)
+                 : embeddings_->RangeSearch(request, *range);
+    }
+    return cluster_ != nullptr ? cluster_->DistributedTopK(request, options.mpp_stats)
                                : embeddings_->TopKSearch(request);
   };
-  if (outcome != nullptr) *outcome = cache::Outcome::kBypass;
-  // A search overlapping a structural change (vacuum merge, rebuild) can
-  // observe a half-merged index; such answers are neither served from nor
-  // admitted to the cache.
-  if (bypass_cache || !cache_->enabled() || request.read_tid == kMaxTid ||
+  if (options.cache_outcome != nullptr) *options.cache_outcome = cache::Outcome::kBypass;
+  // Range answers (unbounded hit count) are not admitted to the top-k result
+  // cache. A search overlapping a structural change (vacuum merge, rebuild)
+  // can observe a half-merged index; such answers are neither served from
+  // nor admitted to the cache.
+  if (range.has_value() || options.bypass_cache || !cache_->enabled() ||
       !embeddings_->structure_stable()) {
     return run();
   }
@@ -175,7 +168,7 @@ Result<VectorSearchResult> Database::CachedTopK(
     fp = cache::CombineFingerprints(fp, cache::FingerprintString(attr));
   }
   fp = cache::CombineFingerprints(
-      fp, cache::FingerprintBytes(request.query, query_dim * sizeof(float)));
+      fp, cache::FingerprintBytes(query.data(), query.size() * sizeof(float)));
   fp = cache::CombineFingerprint(fp, request.k);
   fp = cache::CombineFingerprint(fp, request.ef);
   fp = cache::CombineFingerprint(fp, request.bruteforce_threshold);
@@ -187,11 +180,16 @@ Result<VectorSearchResult> Database::CachedTopK(
   fp = cache::CombineFingerprint(fp, request.rerank_factor != 0
                                          ? request.rerank_factor
                                          : simd::DefaultRerankFactor());
+  // The candidate set is fingerprinted order-independently; the default
+  // Fingerprint{} stands for accept-all.
+  const cache::Fingerprint filter_fp =
+      options.filter != nullptr ? cache::FingerprintIdSetUnordered(*options.filter)
+                                : cache::Fingerprint{};
   const uint64_t structure_version = embeddings_->structure_version();
   const cache::CacheKey key =
       cache::TopKKey(fp, filter_fp, request.read_tid, structure_version);
   if (cache::QueryCache::TopKPtr entry = cache_->LookupTopK(key)) {
-    if (outcome != nullptr) *outcome = cache::Outcome::kHit;
+    if (options.cache_outcome != nullptr) *options.cache_outcome = cache::Outcome::kHit;
     VectorSearchResult cached;
     cached.hits.reserve(entry->hits.size());
     for (const auto& [distance, vid] : entry->hits) {
@@ -204,7 +202,7 @@ Result<VectorSearchResult> Database::CachedTopK(
     cached.reranked = entry->reranked;
     return cached;
   }
-  if (outcome != nullptr) *outcome = cache::Outcome::kMiss;
+  if (options.cache_outcome != nullptr) *options.cache_outcome = cache::Outcome::kMiss;
   auto result = run();
   if (!result.ok()) return result;
   // Admit only if no structural change raced with the computation; the

@@ -1,8 +1,8 @@
 #ifndef TIGERVECTOR_CORE_DATABASE_H_
 #define TIGERVECTOR_CORE_DATABASE_H_
 
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,8 +56,8 @@ class Database {
   // Starts a write transaction.
   Transaction Begin() { return Transaction(store_.get()); }
 
-  // Runs both vacuum stages (delta merge then index merge) using the
-  // adaptive thread suggestion. Returns records folded into indexes.
+  // Runs both vacuum stages (delta merge then index merge) on the shared
+  // worker pool. Returns records folded into indexes.
   Result<size_t> Vacuum();
 
   // --- Crash recovery ---
@@ -128,18 +128,18 @@ class Database {
     return VectorSearch(attrs, query, k, VectorSearchFnOptions{});
   }
 
-  // Top-k search through the result cache. `request.read_tid` must already
-  // be pinned to a real horizon (not kMaxTid) for the cache to engage.
-  // `filter_fp` fingerprints the candidate set request.filter accepts
-  // (default Fingerprint{} = accept-all); `materialize_filter`, when
-  // non-null, is invoked exactly once before the underlying search runs on
-  // a miss or bypass — a cache hit skips it, so callers can defer building
-  // the (potentially large) filter bitmap into it.
-  Result<VectorSearchResult> CachedTopK(
-      VectorSearchRequest& request, size_t query_dim,
-      const cache::Fingerprint& filter_fp, bool bypass_cache,
-      const std::function<Status()>& materialize_filter,
-      Cluster::DistributedStats* mpp_stats, cache::Outcome* outcome);
+  // The one vector-search path (EmbeddingAction, paper Sec. 5.1) behind
+  // VectorSearch() and the GSQL executor. It validates `attrs` against the
+  // query dimension, each other and `options.role`, runs the search on the
+  // MPP cluster when there is one and on the embedding service otherwise,
+  // and serves top-k answers through the result cache. With `range` set it
+  // is a range search instead: every hit with distance < *range, never
+  // cached. Fills options.mpp_stats and options.cache_outcome when set, and
+  // leaves options.distance_map and options.result_stats to VectorSearch.
+  Result<VectorSearchResult> Search(
+      const std::vector<std::pair<std::string, std::string>>& attrs,
+      const std::vector<float>& query, size_t k, std::optional<float> range,
+      const VectorSearchFnOptions& options);
 
  private:
   Options options_;

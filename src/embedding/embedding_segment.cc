@@ -358,9 +358,7 @@ namespace {
 // Trampoline context combining the user filter with the pending-override
 // check, handed to the HNSW index as its validity predicate.
 struct CompositeFilterCtx {
-  const EmbeddingSegment* segment;
   const FilterView* user_filter;
-  Tid read_tid;
   // Set of overridden ids, precomputed under the segment lock so the
   // predicate itself is lock-free.
   const std::unordered_map<VertexId, const VectorDelta*>* overrides;
@@ -389,80 +387,52 @@ size_t OfferDeltas(const std::unordered_map<VertexId, const VectorDelta*>& visib
 
 }  // namespace
 
-EmbeddingSegment::SearchOutput EmbeddingSegment::TopKSearch(
-    const float* query, const SearchOptions& options) const {
+bool EmbeddingSegment::UseBruteForce(const SearchOptions& options) const {
+  if (options.bruteforce_threshold == 0 || options.filter.bitmap() == nullptr) {
+    return false;
+  }
+  return options.filter.bitmap()->CountRange(base_vid_, base_vid_ + capacity_) <
+         options.bruteforce_threshold;
+}
+
+EmbeddingSegment::SearchOutput EmbeddingSegment::Search(
+    const float* query, std::optional<float> range, const SearchOptions& options) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   SearchOutput out;
   const auto overrides = VisiblePendingLocked(options.read_tid);
-  CompositeFilterCtx ctx{this, &options.filter, options.read_tid, &overrides};
+  CompositeFilterCtx ctx{&options.filter, &overrides};
   FilterView composite(&CompositeAccepts, &ctx);
 
-  // Brute-force fallback: when the predicate bitmap leaves too few valid
-  // points in this segment's id range, a direct scan beats the index
-  // (paper Sec. 5.1).
-  bool bruteforce = false;
-  if (options.bruteforce_threshold > 0 && options.filter.bitmap() != nullptr) {
-    const size_t valid = options.filter.bitmap()->CountRange(
-        base_vid_, base_vid_ + capacity_);
-    bruteforce = valid < options.bruteforce_threshold;
-  }
-  // Per-query quantization scope: lets the index rank on SQ8 codes (when a
-  // trained tier exists) with this query's rerank factor, and reports back
-  // how many candidates the index actually reranked.
+  // The brute-force tier also makes a range answer exact, which the
+  // differential test harness relies on for its strict oracle tier.
+  out.used_bruteforce = UseBruteForce(options);
   std::vector<SearchHit> index_hits;
   {
-    simd::ScopedQuantQuery quant_scope(true, options.rerank_factor);
-    index_hits = bruteforce
-                     ? index_->BruteForceSearch(query, options.k, composite)
-                     : index_->TopKSearch(query, options.k, options.ef, composite);
+    // Per-query quantization scope. Top-k may rank on SQ8 codes (when a
+    // trained tier exists) with this query's rerank factor, and reports back
+    // how many candidates the index reranked. Range answers stay exact: the
+    // index's own RangeSearch pins this too, but the brute-force tier would
+    // otherwise approximate.
+    simd::ScopedQuantQuery quant_scope(!range.has_value(), options.rerank_factor);
+    if (range.has_value()) {
+      index_hits = out.used_bruteforce
+                       ? index_->BruteForceSearch(query, index_->size(), composite)
+                       : index_->RangeSearch(query, *range,
+                                             std::max<size_t>(options.k, 16),
+                                             options.ef, composite);
+    } else {
+      index_hits = out.used_bruteforce
+                       ? index_->BruteForceSearch(query, options.k, composite)
+                       : index_->TopKSearch(query, options.k, options.ef, composite);
+    }
     out.used_quant = quant_scope.quant_scans() > 0;
     out.reranked = quant_scope.reranked();
   }
-  out.used_bruteforce = bruteforce;
 
-  RowScan merged = RowScan::TopK(query, info_.dimension, info_.metric, options.k);
+  RowScan merged = range.has_value()
+                       ? RowScan::Range(query, info_.dimension, info_.metric, *range)
+                       : RowScan::TopK(query, info_.dimension, info_.metric, options.k);
   for (const SearchHit& h : index_hits) merged.AddHit(h);
-  out.delta_candidates = OfferDeltas(overrides, options.filter, &merged);
-  out.hits = merged.Finish();
-  return out;
-}
-
-EmbeddingSegment::SearchOutput EmbeddingSegment::RangeSearch(
-    const float* query, float threshold, const SearchOptions& options) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  SearchOutput out;
-  const auto overrides = VisiblePendingLocked(options.read_tid);
-  CompositeFilterCtx ctx{this, &options.filter, options.read_tid, &overrides};
-  FilterView composite(&CompositeAccepts, &ctx);
-
-  // Brute-force fallback, mirroring TopKSearch: with few filter-accepted
-  // points in this segment's range an exact scan is cheaper than the
-  // adaptive index walk — and makes the range answer exact, which the
-  // differential test harness relies on for its strict oracle tier.
-  bool bruteforce = false;
-  if (options.bruteforce_threshold > 0 && options.filter.bitmap() != nullptr) {
-    const size_t valid = options.filter.bitmap()->CountRange(
-        base_vid_, base_vid_ + capacity_);
-    bruteforce = valid < options.bruteforce_threshold;
-  }
-  // Range answers stay exact: disable quantized scans for the whole call
-  // (the index's own RangeSearch also pins this, but the brute-force tier
-  // here would otherwise approximate).
-  simd::ScopedQuantQuery exact_scope(false, 0);
-  RowScan merged = RowScan::Range(query, info_.dimension, info_.metric, threshold);
-  if (bruteforce) {
-    for (const SearchHit& h :
-         index_->BruteForceSearch(query, index_->size(), composite)) {
-      merged.AddHit(h);
-    }
-    out.used_bruteforce = true;
-  } else {
-    for (const SearchHit& h :
-         index_->RangeSearch(query, threshold, std::max<size_t>(options.k, 16),
-                             options.ef, composite)) {
-      merged.AddHit(h);
-    }
-  }
   out.delta_candidates = OfferDeltas(overrides, options.filter, &merged);
   out.hits = merged.Finish();
   return out;

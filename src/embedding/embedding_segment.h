@@ -2,6 +2,7 @@
 #define TIGERVECTOR_EMBEDDING_EMBEDDING_SEGMENT_H_
 
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -112,11 +113,17 @@ class EmbeddingSegment {
   // Combines index-snapshot search with a brute-force scan over pending
   // deltas (paper Sec. 4.3: "Vector search queries combine index snapshot
   // search results with brute-force search results over vector deltas").
-  SearchOutput TopKSearch(const float* query, const SearchOptions& options) const;
-
-  // All hits with distance < threshold, same combination rule.
+  // Without `range` it is a top-k search (TopKSearch); with it, all hits
+  // with distance < *range (RangeSearch).
+  SearchOutput Search(const float* query, std::optional<float> range,
+                      const SearchOptions& options) const;
+  SearchOutput TopKSearch(const float* query, const SearchOptions& options) const {
+    return Search(query, std::nullopt, options);
+  }
   SearchOutput RangeSearch(const float* query, float threshold,
-                           const SearchOptions& options) const;
+                           const SearchOptions& options) const {
+    return Search(query, threshold, options);
+  }
 
   // Latest visible vector for a vertex (checks deltas, then the index).
   Status GetEmbedding(VertexId vid, Tid read_tid, float* out) const;
@@ -168,6 +175,11 @@ class EmbeddingSegment {
       Tid read_tid) const;
 
   void RebuildFirstPendingLocked();
+
+  // The brute-force tier (paper Sec. 5.1): when the filter bitmap leaves
+  // fewer than options.bruteforce_threshold valid points in this segment's
+  // id range, an exact scan beats the index walk.
+  bool UseBruteForce(const SearchOptions& options) const;
 
   Tid DurableHorizonLocked() const;
 

@@ -15,22 +15,6 @@
 
 namespace tigervector {
 
-namespace {
-
-// RAII counter of in-flight searches, feeding SuggestVacuumThreads().
-class ActiveSearchScope {
- public:
-  explicit ActiveSearchScope(std::atomic<size_t>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_relaxed);
-  }
-  ~ActiveSearchScope() { counter_->fetch_sub(1, std::memory_order_relaxed); }
-
- private:
-  std::atomic<size_t>* counter_;
-};
-
-}  // namespace
-
 EmbeddingService::EmbeddingService(GraphStore* store, Options options)
     : store_(store), options_(std::move(options)) {}
 
@@ -124,16 +108,59 @@ Status EmbeddingService::ApplyDelete(VertexTypeId vtype, const std::string& attr
   return segment->ApplyDelta(std::move(delta));
 }
 
-template <typename SegmentFn>
+VectorSearchResult MergeSearchResults(std::vector<VectorSearchResult> parts, size_t k,
+                                      bool range) {
+  VectorSearchResult merged;
+  TopKHeap<VertexId> heap(k);
+  for (VectorSearchResult& part : parts) {
+    merged.segments_searched += part.segments_searched;
+    merged.bruteforce_segments += part.bruteforce_segments;
+    merged.delta_candidates += part.delta_candidates;
+    merged.quant_segments += part.quant_segments;
+    merged.reranked += part.reranked;
+    if (range) {
+      merged.hits.insert(merged.hits.end(), part.hits.begin(), part.hits.end());
+    } else {
+      for (const SearchHit& h : part.hits) heap.Push(h.distance, h.label);
+    }
+  }
+  if (range) {
+    std::sort(merged.hits.begin(), merged.hits.end(),
+              [](const SearchHit& a, const SearchHit& b) {
+                if (a.distance != b.distance) return a.distance < b.distance;
+                return a.label < b.label;
+              });
+  } else {
+    for (const auto& e : heap.TakeSorted()) {
+      merged.hits.push_back(SearchHit{e.distance, e.id});
+    }
+  }
+  return merged;
+}
+
 Result<VectorSearchResult> EmbeddingService::FanOut(const VectorSearchRequest& request,
-                                                    SegmentFn segment_fn) const {
+                                                    std::optional<float> range) const {
+  Timer timer;
+  TV_COUNTER_INC("tv.query.vector_searches_total");
   if (request.query == nullptr) {
     return Status::InvalidArgument("vector search requires a query vector");
   }
   if (request.attrs.empty()) {
     return Status::InvalidArgument("vector search requires at least one attribute");
   }
-  ActiveSearchScope scope(&active_searches_);
+
+  // The horizon is pinned before the segments are collected, so a segment
+  // created by a later commit holds nothing visible to this search.
+  EmbeddingSegment::SearchOptions seg_options;
+  seg_options.k = request.k;
+  seg_options.ef = request.ef;
+  seg_options.filter = request.filter;
+  seg_options.read_tid =
+      request.read_tid == kMaxTid ? store_->visible_tid() : request.read_tid;
+  seg_options.bruteforce_threshold = request.bruteforce_threshold != 0
+                                         ? request.bruteforce_threshold
+                                         : options_.bruteforce_threshold;
+  seg_options.rerank_factor = request.rerank_factor;
 
   // Static compatibility analysis across the requested attributes
   // (paper Sec. 4.1): dimension/model/datatype/metric must match; the index
@@ -174,9 +201,8 @@ Result<VectorSearchResult> EmbeddingService::FanOut(const VectorSearchRequest& r
     }
   }
 
-  VectorSearchResult result;
-  result.segments_searched = segments.size();
-  std::mutex merge_mu;
+  // One slot per segment, so workers never contend on the merge.
+  std::vector<VectorSearchResult> parts(segments.size());
   // ParallelFor runs chunks on worker threads only; carry the dispatching
   // thread's active trace into them so segment-level spans (hnsw.search)
   // land in the profiled query's breakdown, and the request's cancel token
@@ -187,84 +213,41 @@ Result<VectorSearchResult> EmbeddingService::FanOut(const VectorSearchRequest& r
     obs::ScopedTraceActivation trace_scope(parent_trace);
     ScopedCancel cancel_scope(cancel_token);
     if (cancel_token != nullptr && cancel_token->fired()) return;
-    EmbeddingSegment::SearchOutput out = segment_fn(*segments[i]);
-    std::lock_guard<std::mutex> lock(merge_mu);
-    if (out.used_bruteforce) ++result.bruteforce_segments;
-    if (out.used_quant) ++result.quant_segments;
-    result.reranked += out.reranked;
-    result.delta_candidates += out.delta_candidates;
-    result.hits.insert(result.hits.end(), out.hits.begin(), out.hits.end());
+    EmbeddingSegment::SearchOutput out =
+        segments[i]->Search(request.query, range, seg_options);
+    parts[i] = VectorSearchResult{.hits = std::move(out.hits),
+                                  .segments_searched = 1,
+                                  .bruteforce_segments = out.used_bruteforce,
+                                  .delta_candidates = out.delta_candidates,
+                                  .quant_segments = out.used_quant,
+                                  .reranked = out.reranked};
   };
   if (request.pool != nullptr && segments.size() > 1) {
     request.pool->ParallelFor(segments.size(), run_one);
   } else {
     for (size_t i = 0; i < segments.size(); ++i) run_one(i);
   }
+  // Authoritative cancellation gate: if the request's deadline fired at any
+  // point during the fan-out, the hits may be missing candidates from
+  // aborted scans — discard them and surface the typed error instead of a
+  // silently short answer.
+  TV_RETURN_NOT_OK(CancelCheckStatus());
+  VectorSearchResult result =
+      MergeSearchResults(std::move(parts), request.k, range.has_value());
+  TV_HISTOGRAM_OBSERVE("tv.query.vector_search_seconds", timer.ElapsedSeconds());
   return result;
 }
 
 Result<VectorSearchResult> EmbeddingService::TopKSearch(
     const VectorSearchRequest& request) const {
   TV_SPAN("embedding.topk");
-  Timer timer;
-  TV_COUNTER_INC("tv.query.vector_searches_total");
-  EmbeddingSegment::SearchOptions seg_options;
-  seg_options.k = request.k;
-  seg_options.ef = request.ef;
-  seg_options.filter = request.filter;
-  seg_options.read_tid =
-      request.read_tid == kMaxTid ? store_->visible_tid() : request.read_tid;
-  seg_options.bruteforce_threshold = request.bruteforce_threshold != 0
-                                         ? request.bruteforce_threshold
-                                         : options_.bruteforce_threshold;
-  seg_options.rerank_factor = request.rerank_factor;
-  auto result = FanOut(request, [&](const EmbeddingSegment& segment) {
-    return segment.TopKSearch(request.query, seg_options);
-  });
-  if (!result.ok()) return result;
-  // Authoritative cancellation gate: if the request's deadline fired at any
-  // point during the fan-out, the merged hits may be missing candidates
-  // from aborted scans — discard them and surface the typed error instead
-  // of a silently short top-k.
-  TV_RETURN_NOT_OK(CancelCheckStatus());
-  // Global merge of per-segment top-k lists (paper Fig. 5).
-  TopKHeap<VertexId> heap(request.k);
-  for (const SearchHit& h : result->hits) heap.Push(h.distance, h.label);
-  result->hits.clear();
-  for (const auto& e : heap.TakeSorted()) {
-    result->hits.push_back(SearchHit{e.distance, e.id});
-  }
-  TV_HISTOGRAM_OBSERVE("tv.query.vector_search_seconds", timer.ElapsedSeconds());
-  return result;
+  return FanOut(request, std::nullopt);
 }
 
 Result<VectorSearchResult> EmbeddingService::RangeSearch(
     const VectorSearchRequest& request, float threshold) const {
   TV_SPAN("embedding.range");
-  Timer timer;
-  TV_COUNTER_INC("tv.query.vector_searches_total");
-  EmbeddingSegment::SearchOptions seg_options;
-  seg_options.k = std::max<size_t>(request.k, 16);
-  seg_options.ef = request.ef;
-  seg_options.filter = request.filter;
-  seg_options.read_tid =
-      request.read_tid == kMaxTid ? store_->visible_tid() : request.read_tid;
-  seg_options.bruteforce_threshold = request.bruteforce_threshold != 0
-                                         ? request.bruteforce_threshold
-                                         : options_.bruteforce_threshold;
-  auto result = FanOut(request, [&](const EmbeddingSegment& segment) {
-    return segment.RangeSearch(request.query, threshold, seg_options);
-  });
-  if (!result.ok()) return result;
-  // See TopKSearch: an expired deadline discards partial range results.
-  TV_RETURN_NOT_OK(CancelCheckStatus());
-  std::sort(result->hits.begin(), result->hits.end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.label < b.label;
-            });
-  TV_HISTOGRAM_OBSERVE("tv.query.vector_search_seconds", timer.ElapsedSeconds());
-  return result;
+  return FanOut(request, threshold);
 }
 
 Status EmbeddingService::GetEmbedding(const std::string& vertex_type,
@@ -368,9 +351,20 @@ Status EmbeddingService::SaveIndexSnapshots(const std::string& dir,
 }
 
 Status EmbeddingService::LoadIndexSnapshots(const std::string& dir) {
+  return AdoptSnapshots(dir, nullptr);
+}
+
+Status EmbeddingService::RecoverSnapshots(const std::string& dir,
+                                          RecoveryStats* stats) {
+  return AdoptSnapshots(dir, stats);
+}
+
+Status EmbeddingService::AdoptSnapshots(const std::string& dir, RecoveryStats* stats) {
   ScopedStructureChange structure_change(this);
   FILE* manifest = std::fopen((dir + "/embedding_snapshots.manifest").c_str(), "r");
   if (manifest == nullptr) {
+    // Recovery: no snapshot set to adopt.
+    if (stats != nullptr) return Status::OK();
     return Status::IOError("cannot open manifest in " + dir);
   }
   char attr_buf[256];
@@ -380,61 +374,31 @@ Status EmbeddingService::LoadIndexSnapshots(const std::string& dir) {
   Status status = Status::OK();
   while (std::fscanf(manifest, "%u %255s %u %llu %511s", &vtype, attr_buf, &seg_id,
                      &merged_tid, file_buf) == 5) {
-    auto state = GetOrCreateAttrState(static_cast<VertexTypeId>(vtype), attr_buf);
-    if (!state.ok()) {
-      status = state.status();
-      break;
-    }
-    EmbeddingSegment* segment = GetOrCreateSegment(*state, (*state)->info,
-                                                   static_cast<SegmentId>(seg_id));
-    auto index = HnswIndex::LoadFromFile(dir + "/" + file_buf);
-    if (!index.ok()) {
-      status = index.status();
-      break;
-    }
-    status = segment->AdoptIndexSnapshot(std::move(index).value(),
+    Status adopted = [&]() -> Status {
+      auto state = GetOrCreateAttrState(static_cast<VertexTypeId>(vtype), attr_buf);
+      if (!state.ok()) return state.status();
+      EmbeddingSegment* segment = GetOrCreateSegment(*state, (*state)->info,
+                                                     static_cast<SegmentId>(seg_id));
+      auto index = HnswIndex::LoadFromFile(dir + "/" + file_buf);
+      if (!index.ok()) return index.status();
+      return segment->AdoptIndexSnapshot(std::move(index).value(),
                                          static_cast<Tid>(merged_tid));
-    if (!status.ok()) break;
+    }();
+    if (stats == nullptr) {
+      status = adopted;
+      if (!status.ok()) break;
+    } else if (adopted.ok()) {
+      ++stats->snapshots_adopted;
+      TV_COUNTER_INC("tv.recovery.snapshots_adopted_total");
+    } else {
+      // Snapshots only shorten WAL replay, so one that fails to load or
+      // adopt is skipped, never fatal.
+      ++stats->snapshots_rejected;
+      TV_COUNTER_INC("tv.recovery.snapshots_rejected_total");
+    }
   }
   std::fclose(manifest);
   return status;
-}
-
-Status EmbeddingService::RecoverSnapshots(const std::string& dir,
-                                          RecoveryStats* stats) {
-  ScopedStructureChange structure_change(this);
-  FILE* manifest = std::fopen((dir + "/embedding_snapshots.manifest").c_str(), "r");
-  if (manifest == nullptr) return Status::OK();  // no snapshot set to adopt
-  char attr_buf[256];
-  char file_buf[512];
-  unsigned vtype = 0, seg_id = 0;
-  unsigned long long merged_tid = 0;
-  while (std::fscanf(manifest, "%u %255s %u %llu %511s", &vtype, attr_buf, &seg_id,
-                     &merged_tid, file_buf) == 5) {
-    // Each snapshot is best-effort: snapshots only shorten WAL replay, so a
-    // file that fails to load or adopt is skipped, never fatal.
-    auto state = GetOrCreateAttrState(static_cast<VertexTypeId>(vtype), attr_buf);
-    if (!state.ok()) {
-      ++stats->snapshots_rejected;
-      continue;
-    }
-    EmbeddingSegment* segment = GetOrCreateSegment(*state, (*state)->info,
-                                                   static_cast<SegmentId>(seg_id));
-    auto index = HnswIndex::LoadFromFile(dir + "/" + file_buf);
-    if (!index.ok() ||
-        !segment
-             ->AdoptIndexSnapshot(std::move(index).value(),
-                                  static_cast<Tid>(merged_tid))
-             .ok()) {
-      ++stats->snapshots_rejected;
-      TV_COUNTER_INC("tv.recovery.snapshots_rejected_total");
-      continue;
-    }
-    ++stats->snapshots_adopted;
-    TV_COUNTER_INC("tv.recovery.snapshots_adopted_total");
-  }
-  std::fclose(manifest);
-  return Status::OK();
 }
 
 namespace {
@@ -573,13 +537,6 @@ Status EmbeddingService::RecoverDeltaFiles(const std::string& dir,
     }
   }
   return Status::OK();
-}
-
-size_t EmbeddingService::SuggestVacuumThreads() const {
-  const size_t active = active_searches_.load(std::memory_order_relaxed);
-  const size_t max_threads = std::max<size_t>(1, options_.max_vacuum_threads);
-  if (active >= max_threads) return 1;
-  return max_threads - active;
 }
 
 EmbeddingService::ServiceStats EmbeddingService::AggregateStats() const {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -32,9 +33,9 @@ struct VectorSearchRequest {
   size_t bruteforce_threshold = 0;
   // Rerank multiple for quantized (SQ8) scans; 0 uses the process default.
   size_t rerank_factor = 0;
-  // When non-null, only segments with segment_mask[seg_id % mask_size]
-  // semantics... restricted to these segment ids (used by the MPP layer to
-  // scope a request to one logical server's shard). Empty -> all segments.
+  // When non-null, the search covers only these segment ids (the MPP layer
+  // scopes a request to one logical server's shard this way); null covers
+  // every segment of the requested attributes.
   const std::vector<SegmentId>* segment_subset = nullptr;
   ThreadPool* pool = nullptr;  // intra-request segment parallelism
 };
@@ -48,6 +49,13 @@ struct VectorSearchResult {
   size_t reranked = 0;             // candidates rescored with exact fp32
 };
 
+// The global merge of an EmbeddingAction (paper Fig. 5), shared by the
+// segment fan-out and the MPP coordinator: sums the statistics of `parts`
+// and merges their hits — the k nearest for top-k, every hit for range —
+// in ascending (distance, label) order.
+VectorSearchResult MergeSearchResults(std::vector<VectorSearchResult> parts, size_t k,
+                                      bool range);
+
 // The embedding service module (paper Sec. 4.2): owns every embedding
 // segment, receives committed vector deltas from the graph engine's commit
 // protocol (EmbeddingSink), runs the two-stage vacuum, and serves
@@ -58,7 +66,6 @@ class EmbeddingService : public EmbeddingSink {
     HnswParams index_params;       // dim/metric/max_elements overridden per attr
     std::string delta_dir;         // empty -> in-memory delta files
     size_t bruteforce_threshold = 64;
-    size_t max_vacuum_threads = 4;
   };
 
   EmbeddingService(GraphStore* store, Options options);
@@ -87,8 +94,8 @@ class EmbeddingService : public EmbeddingSink {
   // Stage 1 on every segment: seal in-memory deltas (up to the currently
   // visible tid) into delta files. Returns total records sealed.
   Result<size_t> RunDeltaMerge();
-  // Stage 2 on every segment: fold sealed delta files into the indexes.
-  // Uses up to SuggestVacuumThreads() workers from `pool`.
+  // Stage 2 on every segment: fold sealed delta files into the indexes,
+  // in parallel on `pool` (serially when it is null).
   Result<size_t> RunIndexMerge(ThreadPool* pool);
   // Rebuild all indexes from scratch (the "rebuild beats incremental when
   // >20% updated" path, paper Fig. 11).
@@ -125,11 +132,6 @@ class EmbeddingService : public EmbeddingSink {
   // are leftover ".tmp" staging files from interrupted atomic writes.
   Status RecoverDeltaFiles(const std::string& dir, RecoveryStats* stats);
 
-  // Adaptive vacuum parallelism: back off while foreground searches are
-  // active (paper Sec. 4.3: the number of index-update threads is tuned
-  // dynamically to balance efficiency and query responsiveness).
-  size_t SuggestVacuumThreads() const;
-
   // --- Introspection ---
   // Aggregated index statistics across all segments (paper Sec. 4.4: "we
   // enhance the indexes to report relevant statistics for measuring its
@@ -150,7 +152,6 @@ class EmbeddingService : public EmbeddingSink {
   // Embedding segments of one attribute, ordered by segment id.
   std::vector<const EmbeddingSegment*> SegmentsOf(const std::string& vertex_type,
                                                   const std::string& attr) const;
-  size_t active_searches() const { return active_searches_.load(); }
   const Options& options() const { return options_; }
 
   // --- structure version (cache invalidation key) ---
@@ -195,10 +196,17 @@ class EmbeddingService : public EmbeddingSink {
   EmbeddingSegment* GetOrCreateSegment(AttrState* state, const EmbeddingTypeInfo& info,
                                        SegmentId seg_id);
 
-  // Shared fan-out used by TopK and Range.
-  template <typename SegmentFn>
+  // Shared fan-out of TopKSearch (no `range`) and RangeSearch: searches
+  // every requested segment and merges the answers (MergeSearchResults).
   Result<VectorSearchResult> FanOut(const VectorSearchRequest& request,
-                                    SegmentFn segment_fn) const;
+                                    std::optional<float> range) const;
+
+  // Adopts the index snapshots listed in `dir`'s manifest. Strict when
+  // `stats` is null (LoadIndexSnapshots): a missing manifest or the first
+  // snapshot that fails to load or adopt is the error. Otherwise best-effort
+  // (RecoverSnapshots): a missing manifest adopts nothing, and a failing
+  // snapshot is counted in `stats` and skipped.
+  Status AdoptSnapshots(const std::string& dir, RecoveryStats* stats);
 
   // RAII guard for structural operations: marks the structure unstable for
   // its lifetime and bumps the version on exit (before clearing the
@@ -222,7 +230,6 @@ class EmbeddingService : public EmbeddingSink {
   Options options_;
   mutable std::shared_mutex mu_;  // guards attr_states_ map & segment slots
   std::map<AttrKey, AttrState> attr_states_;
-  mutable std::atomic<size_t> active_searches_{0};
   std::atomic<uint64_t> structure_version_{0};
   std::atomic<uint32_t> structure_changes_inflight_{0};
 };

@@ -292,9 +292,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const float* query,
   return out;
 }
 
-void HnswIndex::SelectNeighbors(const float* base, std::vector<Candidate>& candidates,
-                                size_t m) const {
-  (void)base;
+void HnswIndex::SelectNeighbors(std::vector<Candidate>& candidates, size_t m) const {
   if (candidates.size() <= m) return;
   // Heuristic selection (HNSW Algorithm 4): keep a candidate only if it is
   // closer to the base point than to every already-selected neighbor. This
@@ -335,7 +333,7 @@ void HnswIndex::SelectNeighbors(const float* base, std::vector<Candidate>& candi
 
 void HnswIndex::ConnectNode(uint32_t id, int level,
                             std::vector<Candidate>& candidates) {
-  SelectNeighbors(DataAt(id), candidates, params_.m);
+  SelectNeighbors(candidates, params_.m);
   std::vector<uint32_t> out_links;
   out_links.reserve(candidates.size());
   for (const Candidate& c : candidates) out_links.push_back(c.id);
@@ -366,7 +364,7 @@ void HnswIndex::ConnectNode(uint32_t id, int level,
     CountDistComp(stat_dist_comps_);
     peer_cands.push_back(
         Candidate{ComputeDistance(params_.metric, peer_vec, DataAt(id), params_.dim), id});
-    SelectNeighbors(peer_vec, peer_cands, max_links);
+    SelectNeighbors(peer_cands, max_links);
     links.clear();
     for (const Candidate& pc : peer_cands) links.push_back(pc.id);
   }
@@ -560,7 +558,7 @@ Status HnswIndex::UpdateInternal(uint32_t id, const float* vec) {
             ComputeDistance(params_.metric, peer_vec, DataAt(peer), params_.dim),
             peer});
       }
-      SelectNeighbors(peer_vec, peer_cands, max_links);
+      SelectNeighbors(peer_cands, max_links);
       std::lock_guard<std::mutex> lock(node_locks_[n]);
       auto& peer_links = nodes_[n].links;
       if (static_cast<int>(peer_links.size()) <= level) continue;

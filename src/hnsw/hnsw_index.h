@@ -195,9 +195,9 @@ class HnswIndex : public VectorIndex {
   std::vector<Candidate> SearchLayer(const float* query, uint32_t entry, size_t ef,
                                      int level, const Sq8View* qv = nullptr) const;
 
-  // Heuristic neighbor selection (HNSW Algorithm 4).
-  void SelectNeighbors(const float* base, std::vector<Candidate>& candidates,
-                       size_t m) const;
+  // Heuristic neighbor selection (HNSW Algorithm 4). Each candidate carries
+  // its distance to the point being linked.
+  void SelectNeighbors(std::vector<Candidate>& candidates, size_t m) const;
 
   // Connects `id` at `level` to neighbors, adding pruned backlinks.
   void ConnectNode(uint32_t id, int level, std::vector<Candidate>& candidates);

@@ -9,7 +9,6 @@
 #include "util/cancel.h"
 #include "util/io.h"
 #include "util/timer.h"
-#include "util/topk_heap.h"
 
 namespace tigervector {
 
@@ -70,11 +69,9 @@ Result<std::vector<std::vector<SegmentId>>> Cluster::ShardSegments(
   return shards;
 }
 
-template <typename Fn>
 Result<VectorSearchResult> Cluster::ScatterGather(const VectorSearchRequest& request,
-                                                  DistributedStats* stats,
-                                                  Fn local_search,
-                                                  bool merge_topk) const {
+                                                  std::optional<float> range,
+                                                  DistributedStats* stats) const {
   TV_SPAN("cluster.scatter_gather");
   TV_COUNTER_INC("tv.cluster.fanouts_total");
   Timer total_timer;
@@ -135,7 +132,8 @@ Result<VectorSearchResult> Cluster::ScatterGather(const VectorSearchRequest& req
                                         std::to_string(server) +
                                         " shard search failed");
         } else {
-          resp.result = local_search(local);
+          resp.result = range.has_value() ? service_->RangeSearch(local, *range)
+                                          : service_->TopKSearch(local);
         }
         resp.seconds = t.ElapsedSeconds();
         resp.participated = true;
@@ -151,34 +149,14 @@ Result<VectorSearchResult> Cluster::ScatterGather(const VectorSearchRequest& req
   }
 
   Timer merge_timer;
-  VectorSearchResult merged;
-  TopKHeap<VertexId> heap(request.k);
+  std::vector<VectorSearchResult> parts;
   for (ServerResponse& resp : responses) {
     if (!resp.participated) continue;
     if (!resp.result.ok()) return resp.result.status();
-    const VectorSearchResult& r = *resp.result;
-    merged.segments_searched += r.segments_searched;
-    merged.bruteforce_segments += r.bruteforce_segments;
-    merged.delta_candidates += r.delta_candidates;
-    merged.quant_segments += r.quant_segments;
-    merged.reranked += r.reranked;
-    if (merge_topk) {
-      for (const SearchHit& h : r.hits) heap.Push(h.distance, h.label);
-    } else {
-      merged.hits.insert(merged.hits.end(), r.hits.begin(), r.hits.end());
-    }
+    parts.push_back(std::move(resp.result).value());
   }
-  if (merge_topk) {
-    for (const auto& e : heap.TakeSorted()) {
-      merged.hits.push_back(SearchHit{e.distance, e.id});
-    }
-  } else {
-    std::sort(merged.hits.begin(), merged.hits.end(),
-              [](const SearchHit& a, const SearchHit& b) {
-                if (a.distance != b.distance) return a.distance < b.distance;
-                return a.label < b.label;
-              });
-  }
+  VectorSearchResult merged =
+      MergeSearchResults(std::move(parts), request.k, range.has_value());
 
   const double merge_seconds = merge_timer.ElapsedSeconds();
   obs::RecordSpanMicros("cluster.merge", merge_seconds * 1e6);
@@ -202,21 +180,13 @@ Result<VectorSearchResult> Cluster::ScatterGather(const VectorSearchRequest& req
 
 Result<VectorSearchResult> Cluster::DistributedTopK(const VectorSearchRequest& request,
                                                     DistributedStats* stats) const {
-  return ScatterGather(
-      request, stats,
-      [this](const VectorSearchRequest& local) { return service_->TopKSearch(local); },
-      /*merge_topk=*/true);
+  return ScatterGather(request, std::nullopt, stats);
 }
 
 Result<VectorSearchResult> Cluster::DistributedRange(const VectorSearchRequest& request,
                                                      float threshold,
                                                      DistributedStats* stats) const {
-  return ScatterGather(
-      request, stats,
-      [this, threshold](const VectorSearchRequest& local) {
-        return service_->RangeSearch(local, threshold);
-      },
-      /*merge_topk=*/false);
+  return ScatterGather(request, threshold, stats);
 }
 
 double Cluster::ProjectedQps(const DistributedStats& stats) const {

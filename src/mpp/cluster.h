@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "embedding/embedding_service.h"
@@ -79,10 +80,11 @@ class Cluster {
   Result<std::vector<std::vector<SegmentId>>> ShardSegments(
       const VectorSearchRequest& request) const;
 
-  template <typename Fn>
+  // Shared scatter/gather of DistributedTopK (no `range`) and
+  // DistributedRange.
   Result<VectorSearchResult> ScatterGather(const VectorSearchRequest& request,
-                                           DistributedStats* stats, Fn local_search,
-                                           bool merge_topk) const;
+                                           std::optional<float> range,
+                                           DistributedStats* stats) const;
 
   GraphStore* store_;
   EmbeddingService* service_;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "cache/query_cache.h"
@@ -166,6 +167,84 @@ std::string ScanCacheLabel(size_t hits, size_t misses, size_t bypasses) {
   if (!h && !m) return "bypass";
   return "partial(hit=" + std::to_string(hits) + ",miss=" + std::to_string(misses) +
          ",bypass=" + std::to_string(bypasses) + ")";
+}
+
+// The `fan-out:` EXPLAIN detail of an EmbeddingAction over `segments`
+// embedding segments.
+std::string FanOutDetail(Database* db, size_t segments) {
+  const size_t servers = db->cluster() != nullptr ? db->cluster()->num_servers() : 1;
+  return "fan-out: " + std::to_string(segments) + " segment(s) across " +
+         std::to_string(servers) + " server(s)" +
+         (servers > 1 ? " [MPP scatter/gather]" : "");
+}
+
+// EXPLAIN details of one EmbeddingAction, after the form-specific `details`
+// it is given: the filter strategy, the brute-force-vs-HNSW tier rule
+// (decided per segment at run time, so EXPLAIN states the rule rather than
+// a winner), the distance kernels and the quantization mode.
+// `filter_source` names what the candidate bitmap is built from; empty
+// means a pure search.
+std::vector<std::string> EmbeddingDetails(Database* db, std::vector<std::string> details,
+                                          const std::string& filter_source,
+                                          const std::string& accuracy, bool quant_on) {
+  if (filter_source.empty()) {
+    details.push_back("strategy: pure vector search (no filter bitmap)");
+    details.push_back("tier: HNSW(" + accuracy + ") on every segment");
+  } else {
+    details.push_back("strategy: pre-filter (" + filter_source + " -> candidate bitmap)");
+    details.push_back("tier: per segment, brute-force if |bitmap * segment| < " +
+                      std::to_string(db->embeddings()->options().bruteforce_threshold) +
+                      ", else HNSW(" + accuracy + ")");
+  }
+  details.push_back(std::string("simd: ") + simd::ActiveIsaName() + " distance kernels");
+  details.push_back(quant_on ? "quant: sq8 (rank on int8 codes, rerank " +
+                                   std::to_string(simd::DefaultRerankFactor()) +
+                                   "*k exact fp32)"
+                             : std::string("quant: off (exact fp32 scan)"));
+  return details;
+}
+
+// What EXPLAIN ANALYZE reports of one EmbeddingAction beyond its result
+// statistics. Construct it right before the search: it snapshots the
+// per-query trace counters so the distance-eval/hop deltas are exact.
+struct SearchRun {
+  cache::Outcome cache = cache::Outcome::kBypass;
+  Cluster::DistributedStats mpp;
+  uint64_t distance_evals0 = TraceCounter("hnsw.distance_evals");
+  uint64_t hops0 = TraceCounter("hnsw.hops");
+};
+
+// EXPLAIN ANALYZE actuals of one EmbeddingAction (no-op for a null node),
+// after the form-specific rows the caller added. `quant` overrides the
+// quantization label derived from `stats`.
+void AddSearchActuals(PlanNode* node, const VectorSearchResult& stats, size_t rows_out,
+                      const SearchRun& run, bool clustered,
+                      const char* quant = nullptr) {
+  if (node == nullptr) return;
+  auto add = [&](std::string key, std::string value) {
+    node->actuals.emplace_back(std::move(key), std::move(value));
+  };
+  add("rows_out", std::to_string(rows_out));
+  add("segments_searched", std::to_string(stats.segments_searched));
+  add("bruteforce_segments", std::to_string(stats.bruteforce_segments));
+  add("delta_candidates", std::to_string(stats.delta_candidates));
+  if (quant != nullptr) {
+    add("quant", quant);
+  } else {
+    add("quant", stats.quant_segments > 0
+                     ? "sq8, reranked " + std::to_string(stats.reranked)
+                     : "off");
+  }
+  add("hnsw_distance_evals",
+      std::to_string(TraceCounter("hnsw.distance_evals") - run.distance_evals0));
+  add("hnsw_hops", std::to_string(TraceCounter("hnsw.hops") - run.hops0));
+  add("cache", cache::OutcomeName(run.cache));
+  if (clustered) {
+    for (size_t s = 0; s < run.mpp.server_seconds.size(); ++s) {
+      add("server_" + std::to_string(s), FmtMillis(run.mpp.server_seconds[s]));
+    }
+    add("mpp_merge", FmtMillis(run.mpp.merge_seconds));
+  }
 }
 
 }  // namespace
@@ -576,13 +655,8 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
     }
     std::reverse(lines.begin(), lines.end());
 
-    const size_t bf_threshold = db_->embeddings()->options().bruteforce_threshold;
-    const size_t num_servers =
-        db_->cluster() != nullptr ? db_->cluster()->num_servers() : 1;
-    // Static decision lines of one EmbeddingAction: the chosen attribute and
-    // its index, the fan-out degree, the filter strategy, and the
-    // brute-force-vs-HNSW tier threshold math (decided per segment at run
-    // time, so EXPLAIN states the rule rather than a winner).
+    // Static decision lines of one SELECT EmbeddingAction over `attr` of
+    // pattern node `node_idx`.
     auto embedding_details = [&](int node_idx, const std::string& attr,
                                  const std::string& accuracy, bool filtered) {
       std::vector<std::string> details;
@@ -596,32 +670,12 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
           details.push_back("embedding: " + vt.name + "." + attr +
                             " dim=" + std::to_string(def->info.dimension) +
                             " metric=" + MetricName(def->info.metric));
-          const size_t segs = db_->embeddings()->SegmentsOf(vt.name, attr).size();
           details.push_back(
-              "fan-out: " + std::to_string(segs) + " segment(s) across " +
-              std::to_string(num_servers) + " server(s)" +
-              (num_servers > 1 ? " [MPP scatter/gather]" : ""));
+              FanOutDetail(db_, db_->embeddings()->SegmentsOf(vt.name, attr).size()));
         }
       }
-      details.push_back(filtered
-                            ? "strategy: pre-filter (pattern + predicates -> "
-                              "candidate bitmap)"
-                            : "strategy: pure vector search (no filter bitmap)");
-      if (filtered) {
-        details.push_back("tier: per segment, brute-force if |bitmap * segment| < " +
-                          std::to_string(bf_threshold) + ", else HNSW(" + accuracy +
-                          ")");
-      } else {
-        details.push_back("tier: HNSW(" + accuracy + ") on every segment");
-      }
-      details.push_back(std::string("simd: ") + simd::ActiveIsaName() +
-                        " distance kernels");
-      details.push_back(quant_on
-                            ? "quant: sq8 (rank on int8 codes, rerank " +
-                                  std::to_string(simd::DefaultRerankFactor()) +
-                                  "*k exact fp32)"
-                            : std::string("quant: off (exact fp32 scan)"));
-      return details;
+      return EmbeddingDetails(db_, std::move(details),
+                              filtered ? "pattern + predicates" : "", accuracy, quant_on);
     };
 
     std::string plan;
@@ -708,10 +762,29 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
   // EXPLAIN without ANALYZE: the plan above is the whole answer.
   if (!execute) return result;
 
-  // Attaches one actual (EXPLAIN ANALYZE) to a plan node; no-op otherwise.
+  // The plan node EXPLAIN ANALYZE attaches actuals to; null otherwise.
+  auto plan_node = [&](int plan_idx) -> PlanNode* {
+    return explain != nullptr && plan_idx >= 0 ? &explain->nodes[plan_idx] : nullptr;
+  };
   auto add_actual = [&](int plan_idx, const std::string& key, std::string value) {
-    if (explain == nullptr || plan_idx < 0) return;
-    explain->nodes[plan_idx].actuals.emplace_back(key, std::move(value));
+    if (PlanNode* node = plan_node(plan_idx)) {
+      node->actuals.emplace_back(key, std::move(value));
+    }
+  };
+  const bool clustered = db_->cluster() != nullptr;
+  // Runs one EmbeddingAction of this block through the database's search
+  // path, at the statement's MVCC horizon.
+  auto search = [&](const std::string& type_name, const std::string& attr,
+                    const std::vector<float>& query, size_t k, std::optional<float> range,
+                    const VertexSet* filter, SearchRun* run) {
+    Database::VectorSearchFnOptions options;
+    options.filter = filter;
+    options.role = role_;
+    options.read_tid = read_tid;
+    options.bypass_cache = cache_bypass_;
+    options.mpp_stats = &run->mpp;
+    options.cache_outcome = &run->cache;
+    return db_->Search({{type_name, attr}}, query, k, range, options);
   };
 
   // ---- Candidate sets: forward then backward semi-join ----
@@ -794,42 +867,19 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
       return Status::SemanticError("range search alias must have a vertex type");
     }
     const VertexTypeDef& range_type = db_->schema()->vertex_type(node.type_id);
-    const EmbeddingAttrDef* range_attr = range_type.FindEmbeddingAttr(spec.attr);
-    if (range_attr == nullptr) {
+    if (range_type.FindEmbeddingAttr(spec.attr) == nullptr) {
       return Status::SemanticError("'" + spec.attr +
                                    "' is not an embedding attribute of " +
                                    range_type.name);
     }
-    if ((*query)->size() != range_attr->info.dimension) {
-      return Status::InvalidArgument(
-          "query vector dimension " + std::to_string((*query)->size()) +
-          " does not match " + range_type.name + "." + spec.attr + " dimension " +
-          std::to_string(range_attr->info.dimension));
-    }
-    VectorSearchRequest request;
-    request.attrs = {{range_type.name, spec.attr}};
-    request.query = (*query)->data();
-    request.k = 16;
-    request.pool = db_->pool();
-    // The whole statement answers at one MVCC horizon.
-    request.read_tid = read_tid;
     // Pre-filter: pure single-node range scans skip the bitmap entirely.
-    Bitmap bitmap;
     const bool pure = nodes.size() == 1 && node.predicates.empty() &&
                       node.var == nullptr;
-    if (!pure) {
-      bitmap = VertexSetToBitmap(cand[spec.node], db_->store()->vid_upper_bound());
-      request.filter = FilterView(&bitmap);
-    }
     const size_t cand_in = cand[spec.node].size();
-    const uint64_t dist0 = TraceCounter("hnsw.distance_evals");
-    const uint64_t hops0 = TraceCounter("hnsw.hops");
-    Cluster::DistributedStats mpp_stats;
-    auto hits = db_->cluster() != nullptr
-                    ? db_->cluster()->DistributedRange(
-                          request, static_cast<float>(threshold), &mpp_stats)
-                    : db_->embeddings()->RangeSearch(request,
-                                                     static_cast<float>(threshold));
+    SearchRun run;
+    auto hits = search(range_type.name, spec.attr, **query, /*k=*/16,
+                       static_cast<float>(threshold), pure ? nullptr : &cand[spec.node],
+                       &run);
     if (!hits.ok()) return hits.status();
     VertexSet in_range;
     for (const SearchHit& h : hits->hits) {
@@ -849,28 +899,10 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
     add_actual(plan_idx, "candidates_in",
                pure ? "all (pure range)" : std::to_string(cand_in));
     add_actual(plan_idx, "hits_in_range", std::to_string(hits->hits.size()));
-    add_actual(plan_idx, "rows_out", std::to_string(cand[spec.node].size()));
-    add_actual(plan_idx, "segments_searched",
-               std::to_string(hits->segments_searched));
-    add_actual(plan_idx, "bruteforce_segments",
-               std::to_string(hits->bruteforce_segments));
-    add_actual(plan_idx, "delta_candidates", std::to_string(hits->delta_candidates));
     // Range search pins quantization off: its oracle tiers depend on exact
     // distances against the threshold.
-    add_actual(plan_idx, "quant", "off (range is exact)");
-    add_actual(plan_idx, "hnsw_distance_evals",
-               std::to_string(TraceCounter("hnsw.distance_evals") - dist0));
-    add_actual(plan_idx, "hnsw_hops", std::to_string(TraceCounter("hnsw.hops") - hops0));
-    // Range results (unbounded hit count, ef-doubling restarts) are not
-    // admitted to the top-k result cache.
-    add_actual(plan_idx, "cache", "bypass");
-    if (db_->cluster() != nullptr) {
-      for (size_t s = 0; s < mpp_stats.server_seconds.size(); ++s) {
-        add_actual(plan_idx, "server_" + std::to_string(s),
-                   FmtMillis(mpp_stats.server_seconds[s]));
-      }
-      add_actual(plan_idx, "mpp_merge", FmtMillis(mpp_stats.merge_seconds));
-    }
+    AddSearchActuals(plan_node(plan_idx), *hits, cand[spec.node].size(), run, clustered,
+                     "off (range is exact)");
   }
 
   // ---- ORDER BY VECTOR_DIST ----
@@ -951,16 +983,8 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
         }
       };
       std::unordered_set<PairKey, PairHash> seen;
-      struct PairEntry {
-        float distance;
-        VertexId s, t;
-        bool operator<(const PairEntry& o) const {
-          if (distance != o.distance) return distance < o.distance;
-          if (s != o.s) return s < o.s;
-          return t < o.t;
-        }
-      };
-      std::priority_queue<PairEntry> heap;  // max-heap keeps k smallest
+      // Keeps the k nearest pairs in (distance, s, t) order.
+      TopKHeap<std::pair<VertexId, VertexId>> heap(k);
       for (VertexId s : cand[s_idx]) {
         // Walk the chain to find reachable t's under the candidate sets.
         VertexSet frontier{s};
@@ -985,25 +1009,13 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
           if (tv == nullptr) continue;
           const float d = ComputeDistance(s_def->info.metric, sv->data(), tv->data(),
                                           s_def->info.dimension);
-          if (heap.size() < k) {
-            heap.push(PairEntry{d, s, t});
-          } else if (k > 0 && PairEntry{d, s, t} < heap.top()) {
-            heap.pop();
-            heap.push(PairEntry{d, s, t});
-          }
+          heap.Push(d, {s, t});
         }
       }
       result.is_join = true;
-      while (!heap.empty()) {
-        result.pairs.push_back(
-            SelectResult::Pair{heap.top().s, heap.top().t, heap.top().distance});
-        heap.pop();
+      for (const auto& e : heap.TakeSorted()) {
+        result.pairs.push_back(SelectResult::Pair{e.id.first, e.id.second, e.distance});
       }
-      std::reverse(result.pairs.begin(), result.pairs.end());
-      std::sort(result.pairs.begin(), result.pairs.end(),
-                [](const SelectResult::Pair& a, const SelectResult::Pair& b) {
-                  return a.distance < b.distance;
-                });
       add_actual(topk_plan_idx, "pairs_evaluated", std::to_string(seen.size()));
       add_actual(topk_plan_idx, "rows_out", std::to_string(result.pairs.size()));
       return result;
@@ -1034,49 +1046,18 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
     auto query = ParamAsVector(params, dist.rhs->param);
     if (!query.ok()) return query.status();
     const VertexTypeDef& search_type = db_->schema()->vertex_type(nodes[idx].type_id);
-    const EmbeddingAttrDef* search_attr = search_type.FindEmbeddingAttr(dist.lhs->attr);
-    if (search_attr == nullptr) {
+    if (search_type.FindEmbeddingAttr(dist.lhs->attr) == nullptr) {
       return Status::SemanticError("'" + dist.lhs->attr +
                                    "' is not an embedding attribute of " +
                                    search_type.name);
     }
-    if ((*query)->size() != search_attr->info.dimension) {
-      return Status::InvalidArgument(
-          "query vector dimension " + std::to_string((*query)->size()) +
-          " does not match " + search_type.name + "." + dist.lhs->attr +
-          " dimension " + std::to_string(search_attr->info.dimension));
-    }
-    VectorSearchRequest request;
-    request.attrs = {{search_type.name, dist.lhs->attr}};
-    request.query = (*query)->data();
-    request.k = k;
-    request.pool = db_->pool();
-    // The whole statement answers at one MVCC horizon; the result cache
-    // keys on it.
-    request.read_tid = read_tid;
-    Bitmap bitmap;
+    // Pre-filter: the graph pattern + predicates become the candidate set
+    // consumed by one EmbeddingAction (Sec. 5.2/5.3).
     const bool pure = nodes.size() == 1 && nodes[idx].predicates.empty() &&
                       nodes[idx].var == nullptr && ranges.empty();
-    cache::Fingerprint filter_fp;
-    std::function<Status()> materialize;
-    if (!pure) {
-      // Pre-filter: the graph pattern + predicates become the bitmap
-      // consumed by one EmbeddingAction (Sec. 5.2/5.3). The cheap
-      // order-independent fingerprint keys the result cache; the
-      // O(vid_upper_bound) bitmap is only built on a miss.
-      filter_fp = cache::FingerprintIdSetUnordered(cand[idx]);
-      materialize = [&]() {
-        bitmap = VertexSetToBitmap(cand[idx], db_->store()->vid_upper_bound());
-        request.filter = FilterView(&bitmap);
-        return Status::OK();
-      };
-    }
-    const uint64_t dist0 = TraceCounter("hnsw.distance_evals");
-    const uint64_t hops0 = TraceCounter("hnsw.hops");
-    Cluster::DistributedStats mpp_stats;
-    cache::Outcome topk_outcome = cache::Outcome::kBypass;
-    auto hits = db_->CachedTopK(request, (*query)->size(), filter_fp, cache_bypass_,
-                                materialize, &mpp_stats, &topk_outcome);
+    SearchRun run;
+    auto hits = search(search_type.name, dist.lhs->attr, **query, k, std::nullopt,
+                       pure ? nullptr : &cand[idx], &run);
     if (!hits.ok()) return hits.status();
     result.vertices.clear();
     for (const SearchHit& h : hits->hits) {
@@ -1089,29 +1070,8 @@ Result<SelectResult> QueryExecutor::ExecuteSelect(const SelectStmt& stmt,
       add_actual(topk_plan_idx, "filter_selectivity",
                  FmtSelectivity(cand[idx].size(), db_->store()->vid_upper_bound()));
     }
-    add_actual(topk_plan_idx, "rows_out", std::to_string(result.vertices.size()));
-    add_actual(topk_plan_idx, "segments_searched",
-               std::to_string(hits->segments_searched));
-    add_actual(topk_plan_idx, "bruteforce_segments",
-               std::to_string(hits->bruteforce_segments));
-    add_actual(topk_plan_idx, "delta_candidates",
-               std::to_string(hits->delta_candidates));
-    add_actual(topk_plan_idx, "quant",
-               hits->quant_segments > 0
-                   ? "sq8, reranked " + std::to_string(hits->reranked)
-                   : "off");
-    add_actual(topk_plan_idx, "hnsw_distance_evals",
-               std::to_string(TraceCounter("hnsw.distance_evals") - dist0));
-    add_actual(topk_plan_idx, "hnsw_hops",
-               std::to_string(TraceCounter("hnsw.hops") - hops0));
-    add_actual(topk_plan_idx, "cache", cache::OutcomeName(topk_outcome));
-    if (db_->cluster() != nullptr) {
-      for (size_t s = 0; s < mpp_stats.server_seconds.size(); ++s) {
-        add_actual(topk_plan_idx, "server_" + std::to_string(s),
-                   FmtMillis(mpp_stats.server_seconds[s]));
-      }
-      add_actual(topk_plan_idx, "mpp_merge", FmtMillis(mpp_stats.merge_seconds));
-    }
+    AddSearchActuals(plan_node(topk_plan_idx), *hits, result.vertices.size(), run,
+                     clustered);
     return result;
   }
 
@@ -1183,74 +1143,29 @@ Result<VertexSet> QueryExecutor::ExecuteVectorSearch(
     node.label =
         "EmbeddingAction[VectorSearch k=" + std::to_string(k) + ", {" + attrs_str +
         "}]";
-    node.details.push_back("accuracy: ef=" + std::to_string(options.ef));
-    const size_t num_servers =
-        db_->cluster() != nullptr ? db_->cluster()->num_servers() : 1;
-    node.details.push_back(
-        "fan-out: " + std::to_string(total_segments) + " segment(s) across " +
-        std::to_string(num_servers) + " server(s)" +
-        (num_servers > 1 ? " [MPP scatter/gather]" : ""));
-    if (filter != nullptr) {
-      node.details.push_back("strategy: pre-filter (vertex-set variable '" +
-                             stmt.filter_var + "' -> candidate bitmap)");
-      node.details.push_back(
-          "tier: per segment, brute-force if |bitmap * segment| < " +
-          std::to_string(db_->embeddings()->options().bruteforce_threshold) +
-          ", else HNSW(ef=" + std::to_string(options.ef) + ")");
-    } else {
-      node.details.push_back("strategy: pure vector search (no filter bitmap)");
-    }
-    node.details.push_back(std::string("simd: ") + simd::ActiveIsaName() +
-                           " distance kernels");
-    node.details.push_back(
-        simd::ActiveQuantMode() == simd::QuantMode::kSq8
-            ? "quant: sq8 (rank on int8 codes, rerank " +
-                  std::to_string(simd::DefaultRerankFactor()) + "*k exact fp32)"
-            : std::string("quant: off (exact fp32 scan)"));
+    const std::string accuracy = "ef=" + std::to_string(options.ef);
+    node.details = EmbeddingDetails(
+        db_, {"accuracy: " + accuracy, FanOutDetail(db_, total_segments)},
+        filter != nullptr ? "vertex-set variable '" + stmt.filter_var + "'" : "",
+        accuracy, simd::ActiveQuantMode() == simd::QuantMode::kSq8);
     plan_idx = static_cast<int>(explain->nodes.size());
     explain->Add(std::move(node));
   }
   if (!execute) return VertexSet{};
 
   VectorSearchResult search_stats;
-  Cluster::DistributedStats mpp_stats;
-  cache::Outcome vs_outcome = cache::Outcome::kBypass;
+  SearchRun run;
   options.result_stats = &search_stats;
-  options.mpp_stats = &mpp_stats;
+  options.mpp_stats = &run.mpp;
   options.bypass_cache = cache_bypass_;
-  options.cache_outcome = &vs_outcome;
-  const uint64_t dist0 = TraceCounter("hnsw.distance_evals");
-  const uint64_t hops0 = TraceCounter("hnsw.hops");
+  options.cache_outcome = &run.cache;
   auto out = db_->VectorSearch(stmt.attrs, **query, k, options);
   if (explain != nullptr && plan_idx >= 0 && out.ok()) {
-    auto& actuals = explain->nodes[plan_idx].actuals;
+    PlanNode& node = explain->nodes[plan_idx];
     if (filter != nullptr) {
-      actuals.emplace_back("filter_candidates", std::to_string(filter->size()));
+      node.actuals.emplace_back("filter_candidates", std::to_string(filter->size()));
     }
-    actuals.emplace_back("rows_out", std::to_string(out->size()));
-    actuals.emplace_back("segments_searched",
-                         std::to_string(search_stats.segments_searched));
-    actuals.emplace_back("bruteforce_segments",
-                         std::to_string(search_stats.bruteforce_segments));
-    actuals.emplace_back("delta_candidates",
-                         std::to_string(search_stats.delta_candidates));
-    actuals.emplace_back("quant",
-                         search_stats.quant_segments > 0
-                             ? "sq8, reranked " +
-                                   std::to_string(search_stats.reranked)
-                             : "off");
-    actuals.emplace_back("hnsw_distance_evals",
-                         std::to_string(TraceCounter("hnsw.distance_evals") - dist0));
-    actuals.emplace_back("hnsw_hops",
-                         std::to_string(TraceCounter("hnsw.hops") - hops0));
-    actuals.emplace_back("cache", cache::OutcomeName(vs_outcome));
-    if (db_->cluster() != nullptr) {
-      for (size_t s = 0; s < mpp_stats.server_seconds.size(); ++s) {
-        actuals.emplace_back("server_" + std::to_string(s),
-                             FmtMillis(mpp_stats.server_seconds[s]));
-      }
-      actuals.emplace_back("mpp_merge", FmtMillis(mpp_stats.merge_seconds));
-    }
+    AddSearchActuals(&node, search_stats, out->size(), run, db_->cluster() != nullptr);
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "query/lexer.h"
@@ -363,6 +364,40 @@ TEST_F(QuerySessionFixture, SimilarityJoinFindsClosestPair) {
             result->last_join_pairs[1].distance);
   std::set<VertexId> alice_posts = {posts_[0], posts_[1], posts_[2]};
   EXPECT_EQ(alice_posts.count(result->last_join_pairs[0].source), 1u);
+}
+
+TEST_F(QuerySessionFixture, SimilarityJoinOrdersTiedPairsBySourceThenTarget) {
+  // Five new Alice posts and five new Bob posts share one embedding: 25
+  // pairs at distance 0, more ties than std::sort sorts by insertion (16),
+  // so any re-sort on distance alone would scramble them.
+  std::vector<VertexId> sources, targets;
+  for (int i = 0; i < 10; ++i) {
+    Transaction txn = db_->Begin();
+    auto vid = txn.InsertVertex("Post", {std::string("English"), int64_t{1}});
+    ASSERT_TRUE(vid.ok());
+    ASSERT_TRUE(txn.InsertEdge("hasCreator", *vid, persons_[i < 5 ? 0 : 1]).ok());
+    ASSERT_TRUE(txn.SetEmbedding(*vid, "Post", "content_emb", {100, 0, 0, 0}).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+    (i < 5 ? sources : targets).push_back(*vid);
+  }
+  auto result = session_->Run(
+      "SELECT s, t FROM (s:Post) -[:hasCreator]-> (u:Person)"
+      " -[:knows]- (v:Person) <-[:hasCreator]- (t:Post)"
+      " WHERE u.firstName = \"Alice\""
+      " ORDER BY VECTOR_DIST(s.content_emb, t.content_emb) LIMIT 20;");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::pair<VertexId, VertexId>> want;
+  for (VertexId s : sources) {
+    for (VertexId t : targets) want.emplace_back(s, t);
+  }
+  std::sort(want.begin(), want.end());
+  want.resize(20);
+  std::vector<std::pair<VertexId, VertexId>> got;
+  for (const auto& pair : result->last_join_pairs) {
+    EXPECT_EQ(pair.distance, 0.0f);
+    got.emplace_back(pair.source, pair.target);
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(QuerySessionFixture, QueryCompositionVectorSearchFilter) {
