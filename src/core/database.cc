@@ -92,28 +92,30 @@ Result<VectorSearchResult> Database::Search(
     auto vt = schema_.GetVertexType(type_name);
     if (!vt.ok()) return vt.status();
     const EmbeddingAttrDef* def = (*vt)->FindEmbeddingAttr(attr);
-    if (def != nullptr) {
-      // Cross-attribute compatibility is a semantic property of the query
-      // and is reported before any per-attribute validation (Sec. 4.1).
-      if (first_def == nullptr) {
-        first_def = def;
-        first_name = type_name + "." + attr;
-      } else {
-        Status st = CheckCompatible(first_def->info, def->info);
-        if (!st.ok()) {
-          return Status::SemanticError("attributes " + first_name + " and " +
-                                       type_name + "." + attr +
-                                       " are not compatible: " + st.message());
-        }
+    // Rejected here, not by the search layer: a cluster shards an unknown
+    // attribute into no segments and would answer an empty OK.
+    if (def == nullptr) {
+      return Status::NotFound("embedding attribute " + attr + " on " + type_name);
+    }
+    // Cross-attribute compatibility is a semantic property of the query and
+    // is reported before any per-attribute validation (Sec. 4.1).
+    if (first_def == nullptr) {
+      first_def = def;
+      first_name = type_name + "." + attr;
+    } else {
+      Status st = CheckCompatible(first_def->info, def->info);
+      if (!st.ok()) {
+        return Status::SemanticError("attributes " + first_name + " and " + type_name +
+                                     "." + attr + " are not compatible: " + st.message());
       }
-      // Reject a query vector of the wrong dimensionality up front; the
-      // search layer below only sees a raw pointer and would read past it.
-      if (def->info.dimension != query.size()) {
-        return Status::InvalidArgument(
-            "query vector dimension " + std::to_string(query.size()) +
-            " does not match " + type_name + "." + attr + " dimension " +
-            std::to_string(def->info.dimension));
-      }
+    }
+    // Reject a query vector of the wrong dimensionality up front; the search
+    // layer below only sees a raw pointer and would read past it.
+    if (def->info.dimension != query.size()) {
+      return Status::InvalidArgument("query vector dimension " +
+                                     std::to_string(query.size()) + " does not match " +
+                                     type_name + "." + attr + " dimension " +
+                                     std::to_string(def->info.dimension));
     }
     if (access_.CanRead(options.role, (*vt)->id)) {
       permitted.emplace_back(type_name, attr);

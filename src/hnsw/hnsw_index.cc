@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <limits>
 #include <queue>
 
 #include "hnsw/row_scan.h"
@@ -333,20 +331,35 @@ void HnswIndex::SelectNeighbors(std::vector<Candidate>& candidates, size_t m) co
 
 void HnswIndex::ConnectNode(uint32_t id, int level,
                             std::vector<Candidate>& candidates) {
+  // An update, or a concurrent insert's backlink, can bring `id` itself back.
+  candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
+                                  [id](const Candidate& c) { return c.id == id; }),
+                   candidates.end());
   SelectNeighbors(candidates, params_.m);
-  std::vector<uint32_t> out_links;
-  out_links.reserve(candidates.size());
-  for (const Candidate& c : candidates) out_links.push_back(c.id);
-  {
-    std::lock_guard<std::mutex> lock(node_locks_[id]);
-    nodes_[id].links[level] = out_links;
-  }
   const size_t max_links = MaxLinks(level);
+  {
+    // Merge, never overwrite: the new selection goes first, then the list's
+    // current entries fill the remaining room. Those are backlinks that
+    // concurrent inserts pushed meanwhile and, on an update, the old
+    // out-neighbours, which may have no other in-link.
+    std::lock_guard<std::mutex> lock(node_locks_[id]);
+    auto& links = nodes_[id].links[level];
+    std::vector<uint32_t> merged;
+    for (const Candidate& c : candidates) merged.push_back(c.id);
+    for (uint32_t n : links) {
+      if (merged.size() < max_links &&
+          std::find(merged.begin(), merged.end(), n) == merged.end()) {
+        merged.push_back(n);
+      }
+    }
+    links = std::move(merged);
+  }
   for (const Candidate& c : candidates) {
     std::lock_guard<std::mutex> lock(node_locks_[c.id]);
     auto& peer_links = nodes_[c.id].links;
     if (static_cast<int>(peer_links.size()) <= level) continue;
     auto& links = peer_links[level];
+    if (std::find(links.begin(), links.end(), id) != links.end()) continue;
     if (links.size() < max_links) {
       links.push_back(id);
       continue;
@@ -367,6 +380,19 @@ void HnswIndex::ConnectNode(uint32_t id, int level,
     SelectNeighbors(peer_cands, max_links);
     links.clear();
     for (const Candidate& pc : peer_cands) links.push_back(pc.id);
+  }
+}
+
+void HnswIndex::LinkNode(uint32_t id, const float* vec, int node_level,
+                         uint32_t entry, int top_level) {
+  uint32_t curr = entry;
+  for (int level = top_level; level > node_level; --level) {
+    curr = GreedySearchLayer(vec, curr, level);
+  }
+  for (int level = std::min(node_level, top_level); level >= 0; --level) {
+    std::vector<Candidate> cands = SearchLayer(vec, curr, params_.ef_construction, level);
+    if (!cands.empty()) curr = cands.front().id;
+    ConnectNode(id, level, cands);
   }
 }
 
@@ -421,22 +447,11 @@ Status HnswIndex::InsertInternal(uint64_t label, const float* vec) {
     if (entry_point_ == kInvalidId) {
       entry_point_ = id;
       max_level_ = node_level;
-      live_count_.fetch_add(1);
-      stat_inserts_.fetch_add(1, std::memory_order_relaxed);
-      TV_COUNTER_INC("tv.hnsw.inserts_total");
-      return Status::OK();
     }
   }
 
-  uint32_t curr = entry;
-  for (int level = search_from_level; level > node_level; --level) {
-    curr = GreedySearchLayer(vec, curr, level);
-  }
-  for (int level = std::min(node_level, search_from_level); level >= 0; --level) {
-    std::vector<Candidate> cands = SearchLayer(vec, curr, params_.ef_construction, level);
-    if (!cands.empty()) curr = cands.front().id;
-    ConnectNode(id, level, cands);
-  }
+  // A no-op for the first node: there is no level -1 to descend from.
+  LinkNode(id, vec, node_level, entry, search_from_level);
 
   if (node_level > search_from_level) {
     std::lock_guard<std::mutex> lock(global_mu_);
@@ -447,126 +462,40 @@ Status HnswIndex::InsertInternal(uint64_t label, const float* vec) {
   }
   live_count_.fetch_add(1);
   stat_inserts_.fetch_add(1, std::memory_order_relaxed);
+  TV_COUNTER_INC("tv.hnsw.inserts_total");
   return Status::OK();
 }
 
 Status HnswIndex::UpdateInternal(uint32_t id, const float* vec) {
+  int node_level;
   {
     std::lock_guard<std::mutex> lock(node_locks_[id]);
     RelaxedCopyVector(data_.data() + size_t{id} * params_.dim, vec, params_.dim);
+    node_level = static_cast<int>(nodes_[id].links.size()) - 1;
     if (nodes_[id].deleted) {
       nodes_[id].deleted = false;
       live_count_.fetch_add(1);
     }
   }
-  {
-    // Keep the code row of an in-place update in sync with its fp32 row
-    // (stale segment params are fine — the rerank is exact; stale codes
-    // pointing at the old vector would not be).
-    std::shared_ptr<Sq8Tier> tier;
-    {
-      std::lock_guard<std::mutex> lock(global_mu_);
-      tier = sq8_tier_;
-    }
-    if (tier != nullptr && id < tier->encoded.load(std::memory_order_acquire)) {
-      RelaxedEncodeRow(tier->params, vec, params_.dim,
-                       tier->codes.data() + size_t{id} * params_.dim,
-                       &tier->norms[id]);
-    }
-  }
-  // Repair the updated node's out-links level by level: its old neighbors
-  // were chosen for the old vector, so re-run the insertion search.
   uint32_t entry;
   int top_level;
-  int node_level;
+  std::shared_ptr<Sq8Tier> tier;
   {
     std::lock_guard<std::mutex> lock(global_mu_);
     entry = entry_point_;
     top_level = max_level_;
+    tier = sq8_tier_;
   }
-  {
-    std::lock_guard<std::mutex> lock(node_locks_[id]);
-    node_level = static_cast<int>(nodes_[id].links.size()) - 1;
+  // Keep the code row of an in-place update in sync with its fp32 row
+  // (stale segment params are fine — the rerank is exact; stale codes
+  // pointing at the old vector would not be).
+  if (tier != nullptr && id < tier->encoded.load(std::memory_order_acquire)) {
+    RelaxedEncodeRow(tier->params, vec, params_.dim,
+                     tier->codes.data() + size_t{id} * params_.dim,
+                     &tier->norms[id]);
   }
-  if (entry == kInvalidId) return Status::OK();
-
-  uint32_t curr = entry;
-  for (int level = top_level; level > node_level; --level) {
-    curr = GreedySearchLayer(vec, curr, level);
-  }
-  for (int level = std::min(node_level, top_level); level >= 0; --level) {
-    // Snapshot the stale out-neighbors before re-linking: their own link
-    // lists reference a vector that no longer exists at the old location
-    // and must be repaired below (cf. hnswlib's repairConnectionsForUpdate;
-    // this is what makes in-place updates more expensive than inserts and
-    // drives the paper's Fig. 11 incremental-vs-rebuild crossover).
-    std::vector<uint32_t> stale_neighbors;
-    {
-      std::lock_guard<std::mutex> lock(node_locks_[id]);
-      if (static_cast<int>(nodes_[id].links.size()) > level) {
-        stale_neighbors = nodes_[id].links[level];
-      }
-    }
-    std::vector<Candidate> cands = SearchLayer(vec, curr, params_.ef_construction, level);
-    if (!cands.empty()) curr = cands.front().id;
-    // Drop self-references found by the search.
-    cands.erase(std::remove_if(cands.begin(), cands.end(),
-                               [id](const Candidate& c) { return c.id == id; }),
-                cands.end());
-    ConnectNode(id, level, cands);
-    // Repair each stale neighbor's link list (hnswlib's
-    // repairConnectionsForUpdate): gather the 2-hop candidate pool around
-    // the moved node, then re-select every 1-hop neighbor's links from
-    // that pool. Distances to the moved node changed, so their old pruning
-    // decisions are invalid.
-    const size_t max_links = MaxLinks(level);
-    std::vector<uint32_t> pool;
-    pool.push_back(id);
-    for (uint32_t n : stale_neighbors) {
-      pool.push_back(n);
-      std::lock_guard<std::mutex> lock(node_locks_[n]);
-      const auto& peer_links = nodes_[n].links;
-      if (static_cast<int>(peer_links.size()) <= level) continue;
-      for (uint32_t nn : peer_links[level]) pool.push_back(nn);
-    }
-    std::sort(pool.begin(), pool.end());
-    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-    // Cap the repair pool (hnswlib caps its sCand set similarly); repairs
-    // dominate update cost, and an unbounded 2-hop pool over-repairs.
-    const size_t pool_cap = 16 * params_.m;
-    if (pool.size() > pool_cap) {
-      std::vector<Candidate> ranked;
-      ranked.reserve(pool.size());
-      for (uint32_t peer : pool) {
-        CountDistComp(stat_dist_comps_);
-        ranked.push_back(Candidate{
-            ComputeDistance(params_.metric, vec, DataAt(peer), params_.dim), peer});
-      }
-      std::sort(ranked.begin(), ranked.end());
-      pool.clear();
-      for (size_t p = 0; p < pool_cap; ++p) pool.push_back(ranked[p].id);
-    }
-    for (uint32_t n : stale_neighbors) {
-      if (n == id) continue;
-      std::vector<Candidate> peer_cands;
-      peer_cands.reserve(pool.size());
-      const float* peer_vec = DataAt(n);
-      for (uint32_t peer : pool) {
-        if (peer == n) continue;
-        CountDistComp(stat_dist_comps_);
-        peer_cands.push_back(Candidate{
-            ComputeDistance(params_.metric, peer_vec, DataAt(peer), params_.dim),
-            peer});
-      }
-      SelectNeighbors(peer_cands, max_links);
-      std::lock_guard<std::mutex> lock(node_locks_[n]);
-      auto& peer_links = nodes_[n].links;
-      if (static_cast<int>(peer_links.size()) <= level) continue;
-      auto& links = peer_links[level];
-      links.clear();
-      for (const Candidate& pc : peer_cands) links.push_back(pc.id);
-    }
-  }
+  // Linked as an insert is; the in-links other nodes hold to it stay valid.
+  LinkNode(id, vec, node_level, entry, top_level);
   stat_updates_.fetch_add(1, std::memory_order_relaxed);
   TV_COUNTER_INC("tv.hnsw.updates_total");
   return Status::OK();
@@ -841,6 +770,59 @@ std::vector<uint64_t> HnswIndex::Labels() const {
     if (!nodes_[id].deleted) labels.push_back(label);
   }
   return labels;
+}
+
+Status HnswIndex::CheckInvariants(size_t* unreachable) const {
+  uint32_t entry;
+  {
+    std::lock_guard<std::mutex> lock(global_mu_);
+    entry = entry_point_;
+  }
+  const uint32_t count = NodeCount();
+  for (uint32_t id = 0; id < count; ++id) {
+    std::lock_guard<std::mutex> lock(node_locks_[id]);
+    const auto& links = nodes_[id].links;
+    for (size_t level = 0; level < links.size(); ++level) {
+      std::string fault = links[level].size() > MaxLinks(level) ? "degree above max" : "";
+      for (uint32_t n : links[level]) {
+        // Levels are sized before a node is published, so reading another
+        // node's level needs no lock.
+        if (n >= NodeCount()) {
+          fault = "dangling link " + std::to_string(n);
+        } else if (n == id) {
+          fault = "self link";
+        } else if (nodes_[n].links.size() <= level) {
+          fault = "link to " + std::to_string(n) + ", which lacks this level";
+        }
+      }
+      if (!fault.empty()) {
+        return Status::Internal("hnsw node " + std::to_string(id) + " level " +
+                                std::to_string(level) + ": " + fault);
+      }
+    }
+  }
+  if (unreachable == nullptr) return Status::OK();
+  // Layer-0 reachability from the entry point, through tombstones as
+  // searches go.
+  std::vector<uint8_t> seen(count, 0);
+  std::vector<uint32_t> stack;
+  if (entry < count) stack.push_back(entry);
+  while (!stack.empty()) {
+    const uint32_t id = stack.back();
+    stack.pop_back();
+    if (seen[id] != 0) continue;
+    seen[id] = 1;
+    std::lock_guard<std::mutex> lock(node_locks_[id]);
+    for (uint32_t n : nodes_[id].links[0]) {
+      if (n < count && seen[n] == 0) stack.push_back(n);
+    }
+  }
+  *unreachable = 0;
+  for (uint32_t id = 0; id < count; ++id) {
+    std::lock_guard<std::mutex> lock(node_locks_[id]);
+    if (seen[id] == 0 && !nodes_[id].deleted) ++*unreachable;
+  }
+  return Status::OK();
 }
 
 namespace {

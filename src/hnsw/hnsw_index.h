@@ -46,9 +46,9 @@ struct HnswStats {
 
 // From-scratch HNSW (Malkov & Yashunin, TPAMI'20) with the heuristic
 // neighbor selection of Algorithm 4. Supports concurrent reads, locked
-// concurrent inserts, tombstone deletes, in-place updates with link repair,
-// and filtered search through a FilterView evaluated on result collection
-// (filtered-out nodes are still traversed, as in hnswlib).
+// concurrent inserts, tombstone deletes, in-place updates (re-linked as
+// inserts are), and filtered search through a FilterView evaluated on
+// result collection (filtered-out nodes are still traversed, as in hnswlib).
 //
 // This is the "open-source HNSW library" substrate of the paper (Sec. 4.4);
 // the four generic functions TigerVector needs are GetEmbedding,
@@ -133,6 +133,13 @@ class HnswIndex : public VectorIndex {
   // All live labels (unordered).
   std::vector<uint64_t> Labels() const override;
 
+  // Structural check: an error for a dangling or self link, a link to a
+  // node without that level, or a degree above the level's maximum. A
+  // non-null `unreachable` receives the number of live nodes the entry point
+  // cannot reach at layer 0, which is no error: heuristic pruning can strand
+  // a node even in a serial build. Stable only on a quiescent index.
+  Status CheckInvariants(size_t* unreachable) const;
+
  private:
   struct Node {
     // links[level] holds the out-neighbors at that level; level 0 allows
@@ -199,8 +206,14 @@ class HnswIndex : public VectorIndex {
   // its distance to the point being linked.
   void SelectNeighbors(std::vector<Candidate>& candidates, size_t m) const;
 
-  // Connects `id` at `level` to neighbors, adding pruned backlinks.
+  // Connects `id` at `level` to neighbors (never itself), adding pruned
+  // backlinks. The only code that rewrites a link list.
   void ConnectNode(uint32_t id, int level, std::vector<Candidate>& candidates);
+
+  // Greedy descent from `entry`, then SearchLayer + ConnectNode at each of
+  // the node's levels: the one link routine of inserts and updates.
+  void LinkNode(uint32_t id, const float* vec, int node_level, uint32_t entry,
+                int top_level);
 
   Status InsertInternal(uint64_t label, const float* vec);
   Status UpdateInternal(uint32_t id, const float* vec);

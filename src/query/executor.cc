@@ -1135,10 +1135,16 @@ Result<VertexSet> QueryExecutor::ExecuteVectorSearch(
     PlanNode node;
     std::string attrs_str;
     size_t total_segments = 0;
+    // Quantization is per attribute (schema pin, else TV_QUANT), as in the
+    // SELECT plan; sq8 when any searched attribute ranks on codes.
+    bool quant_on = false;
     for (const auto& [type_name, attr] : stmt.attrs) {
       if (!attrs_str.empty()) attrs_str += ", ";
       attrs_str += type_name + "." + attr;
       total_segments += db_->embeddings()->SegmentsOf(type_name, attr).size();
+      auto vt = db_->schema()->GetVertexType(type_name);
+      const EmbeddingAttrDef* def = vt.ok() ? (*vt)->FindEmbeddingAttr(attr) : nullptr;
+      quant_on = quant_on || (def != nullptr && QuantEnabled(def->info));
     }
     node.label =
         "EmbeddingAction[VectorSearch k=" + std::to_string(k) + ", {" + attrs_str +
@@ -1147,7 +1153,7 @@ Result<VertexSet> QueryExecutor::ExecuteVectorSearch(
     node.details = EmbeddingDetails(
         db_, {"accuracy: " + accuracy, FanOutDetail(db_, total_segments)},
         filter != nullptr ? "vertex-set variable '" + stmt.filter_var + "'" : "",
-        accuracy, simd::ActiveQuantMode() == simd::QuantMode::kSq8);
+        accuracy, quant_on);
     plan_idx = static_cast<int>(explain->nodes.size());
     explain->Add(std::move(node));
   }

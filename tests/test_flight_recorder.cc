@@ -409,6 +409,32 @@ TEST_F(ExplainFixture, ComposedShape) {
   EXPECT_FALSE(Has(ex->explain, "    * ")) << ex->explain;
 }
 
+// VectorSearch() and SELECT state the same quantization for one attribute:
+// its schema pin, whatever the process TV_QUANT mode is.
+TEST_F(ExplainFixture, VectorSearchQuantFollowsSchemaPin) {
+  auto ddl = session_->Run(
+      "ALTER VERTEX Post ADD EMBEDDING ATTRIBUTE sq8_emb"
+      " (DIMENSION = 4, MODEL = M, METRIC = L2, QUANT = SQ8);"
+      "ALTER VERTEX Post ADD EMBEDDING ATTRIBUTE fp32_emb"
+      " (DIMENSION = 4, MODEL = M, METRIC = L2, QUANT = OFF);");
+  ASSERT_TRUE(ddl.ok()) << ddl.status().ToString();
+  for (const auto& [attr, want] :
+       {std::pair<std::string, std::string>{"sq8_emb", "quant: sq8"},
+        {"fp32_emb", "quant: off"}}) {
+    auto vs = session_->Run(
+        "EXPLAIN R = VectorSearch({Post." + attr + "}, $qv, 2); PRINT R;",
+        Params({0, 0, 0, 0}));
+    ASSERT_TRUE(vs.ok()) << vs.status().ToString();
+    EXPECT_TRUE(Has(vs->explain, want)) << vs->explain;
+    auto sel = session_->Run(
+        "EXPLAIN R = SELECT s FROM (s:Post) ORDER BY VECTOR_DIST(s." + attr +
+            ", $qv) LIMIT 2; PRINT R;",
+        Params({0, 0, 0, 0}));
+    ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+    EXPECT_TRUE(Has(sel->explain, want)) << sel->explain;
+  }
+}
+
 TEST_F(ExplainFixture, RangeShape) {
   const std::string q =
       "R = SELECT s FROM (s:Post)"

@@ -432,6 +432,64 @@ TEST_P(HnswEfSweep, RecallFloorPerEf) {
 INSTANTIATE_TEST_SUITE_P(EfValues, HnswEfSweep,
                          ::testing::Values(16, 32, 64, 128, 200, 400));
 
+// Re-embedding through UpdateItems must leave a graph about as searchable as
+// a fresh build. 30% of 4,000 SIFT-like vectors move, each to another row
+// plus Gaussian noise at the data's own scale (how the benchmark's writes
+// re-embed), serially and through a 4-thread pool.
+class HnswUpdateRecallTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(HnswUpdateRecallTest, ReembedKeepsRecallAndSelfFound) {
+  const size_t n = 4000;
+  VectorDataset ds = MakeSiftLike(n, 100, /*seed=*/5);
+  HnswParams params;
+  params.dim = ds.dim;
+  params.max_elements = n;
+  HnswIndex index(params);
+  ThreadPool threads(4);
+  ThreadPool* pool = GetParam() ? &threads : nullptr;
+  std::vector<HnswIndex::UpdateItem> items;
+  for (size_t i = 0; i < n; ++i) {
+    items.push_back({i, false, {ds.BaseVector(i), ds.BaseVector(i) + ds.dim}});
+  }
+  ASSERT_TRUE(index.UpdateItems(items, pool).ok());
+
+  Rng rng(6);
+  std::vector<uint64_t> order = AllLabels(n);
+  for (size_t i = n - 1; i > 0; --i) std::swap(order[i], order[rng.NextBounded(i + 1)]);
+  items.clear();
+  for (size_t u = 0; u < n * 3 / 10; ++u) {
+    const float* src = ds.BaseVector(rng.NextBounded(n));
+    std::vector<float> v(ds.dim);
+    for (size_t d = 0; d < ds.dim; ++d) {
+      v[d] = src[d] + rng.NextGaussian() * 55.0f;
+      if (v[d] < 0) v[d] = -v[d] * 0.3f;
+    }
+    std::copy(v.begin(), v.end(), ds.base.begin() + order[u] * ds.dim);
+    items.push_back({order[u], false, std::move(v)});
+  }
+  ASSERT_TRUE(index.UpdateItems(items, pool).ok());
+
+  size_t unreachable = 0;
+  const Status check = index.CheckInvariants(&unreachable);
+  ASSERT_TRUE(check.ok()) << check.ToString();
+  ComputeGroundTruth(&ds, 10, pool);
+  double recall = 0;
+  for (size_t q = 0; q < ds.num_queries; ++q) {
+    recall += Recall(index.TopKSearch(ds.QueryVector(q), 10, 64), ds.ground_truth[q]);
+  }
+  recall /= ds.num_queries;
+  size_t self_found = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto hits = index.TopKSearch(ds.BaseVector(i), 1, 64);
+    self_found += !hits.empty() && hits[0].label == i;
+  }
+  const double self_share = static_cast<double>(self_found) / n;
+  EXPECT_GE(recall, 0.80) << "unreachable " << unreachable;
+  EXPECT_GE(self_share, 0.98) << "unreachable " << unreachable;
+}
+
+INSTANTIATE_TEST_SUITE_P(SerialAndPool, HnswUpdateRecallTest, ::testing::Bool());
+
 // ---------------- RowScan (the shared exact scan) ----------------
 
 TEST(RowScanTest, ExactTopK) {

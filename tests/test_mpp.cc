@@ -220,5 +220,44 @@ TEST_F(ClusterFixture, DatabaseWithClusterOptionWiresUp) {
   EXPECT_EQ(single.cluster(), nullptr);
 }
 
+// An embedding attribute the schema lacks fails the same way on one server
+// and on a cluster, for top-k and range, alone or beside a real attribute.
+TEST(DatabaseSearchTest, UnknownAttributeIsNotFoundOnOneAndThreeServers) {
+  for (size_t servers : {1u, 3u}) {
+    Database::Options options;
+    options.num_servers = servers;
+    options.store.segment_capacity = 4;
+    Database db(options);
+    EmbeddingTypeInfo info;
+    info.dimension = 4;
+    info.model = "M";
+    ASSERT_TRUE(db.schema()->CreateVertexType("Post", {}).ok());
+    ASSERT_TRUE(db.schema()->AddEmbeddingAttr("Post", "emb", info).ok());
+    Transaction txn = db.Begin();
+    for (int i = 0; i < 12; ++i) {
+      auto vid = txn.InsertVertex("Post", {});
+      ASSERT_TRUE(vid.ok());
+      ASSERT_TRUE(
+          txn.SetEmbedding(*vid, "Post", "emb", {static_cast<float>(i), 0, 0, 0}).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+    ASSERT_TRUE(db.Vacuum().ok());
+    const std::vector<float> q = {1, 0, 0, 0};
+    using Attrs = std::vector<std::pair<std::string, std::string>>;
+    for (const Attrs& attrs : {Attrs{{"Post", "nope"}},
+                               Attrs{{"Post", "emb"}, {"Post", "nope"}}}) {
+      for (std::optional<float> range :
+           {std::optional<float>(), std::optional<float>(4.0f)}) {
+        auto result = db.Search(attrs, q, 5, range, {});
+        ASSERT_FALSE(result.ok()) << servers << " servers";
+        EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+        EXPECT_EQ(result.status().message(), "embedding attribute nope on Post");
+      }
+    }
+    EXPECT_EQ(db.VectorSearch({{"Post", "nope"}}, q, 5).status().code(),
+              StatusCode::kNotFound);
+  }
+}
+
 }  // namespace
 }  // namespace tigervector

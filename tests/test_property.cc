@@ -5,6 +5,7 @@
 
 #include "core/database.h"
 #include "graph/wal.h"
+#include "hnsw/hnsw_index.h"
 #include "query/session.h"
 #include "util/rng.h"
 
@@ -172,6 +173,17 @@ TEST(EmbeddingModelTest, RandomOpsMatchReferenceModel) {
     } else {
       ASSERT_TRUE(db.embeddings()->RunDeltaMerge().ok());
       ASSERT_TRUE(db.embeddings()->RunIndexMerge(db.pool()).ok());
+      // Every check below is an exact self-query, so every live node of
+      // every merged graph must be reachable.
+      for (const EmbeddingSegment* segment : db.embeddings()->SegmentsOf("Item", "emb")) {
+        const auto index = segment->index();
+        const auto* hnsw = dynamic_cast<const HnswIndex*>(index.get());
+        ASSERT_NE(hnsw, nullptr);
+        size_t unreachable = 0;
+        const Status check = hnsw->CheckInvariants(&unreachable);
+        ASSERT_TRUE(check.ok()) << "step " << step << ": " << check.ToString();
+        ASSERT_EQ(unreachable, 0u) << "step " << step;
+      }
     }
 
     // Periodically verify the model.
