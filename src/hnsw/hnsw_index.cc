@@ -75,63 +75,50 @@ uint64_t QuantParamsChecksum(const simd::Sq8Params& p) {
   return Fnv1a(p.max.data(), p.max.size() * sizeof(float), h);
 }
 
-// Per-instance stats stay authoritative for per-segment attribution; the
-// same increments mirror into the process-wide registry so exporters see
-// one aggregate without walking segments, and into per-thread tallies so a
-// search call can attribute its exact cost to the active query trace
-// (segment searches never span threads, so thread-local deltas are exact
-// even under concurrent queries).
-#if !defined(TIGERVECTOR_NO_METRICS)
-thread_local uint64_t tl_dist_evals = 0;
-thread_local uint64_t tl_hops = 0;
-#endif
+// The cost of HNSW work on this thread, in plain increments: the hot loops
+// touch no shared cache line, so a pooled build or merge scales with its
+// threads. A CostScope at each public entry point publishes what its call
+// added, once, on exit.
+struct CostTally {
+  uint64_t distance_evals = 0;
+  uint64_t hops = 0;
+};
+thread_local CostTally tl_cost;
 
-inline void CountDistComp(std::atomic<uint64_t>& stat) {
-  stat.fetch_add(1, std::memory_order_relaxed);
-#if !defined(TIGERVECTOR_NO_METRICS)
-  ++tl_dist_evals;
-#endif
-  TV_COUNTER_INC("tv.hnsw.distance_evals_total");
-}
-
-// Batched form for the gathered-kernel paths: one atomic add per chunk
-// instead of one per vector pair.
-inline void CountDistComps(std::atomic<uint64_t>& stat, uint64_t n) {
-  if (n == 0) return;
-  stat.fetch_add(n, std::memory_order_relaxed);
-#if !defined(TIGERVECTOR_NO_METRICS)
-  tl_dist_evals += n;
-#endif
-  TV_COUNTER_ADD("tv.hnsw.distance_evals_total", n);
-}
-
-inline void CountHop(std::atomic<uint64_t>& stat) {
-  stat.fetch_add(1, std::memory_order_relaxed);
-#if !defined(TIGERVECTOR_NO_METRICS)
-  ++tl_hops;
-#endif
-  TV_COUNTER_INC("tv.hnsw.hops_total");
-}
-
-// RAII reporter: on destruction, adds this search call's thread-local
-// distance-eval/hop deltas to the active query trace (exact per-query
-// accounting, unlike a process-wide counter delta which mixes in
-// concurrent queries and background inserts).
-class TraceSearchCost {
+// Publishes one call's tally to the index's own stats (per-segment
+// attribution), to the process-wide registry (one aggregate without walking
+// segments) and, for a search, to the active query trace. A segment search
+// never spans threads, so the thread's tally is that query's exact cost even
+// under concurrent queries and background inserts. A nested scope publishes
+// its own part and leaves it out of the outer one's.
+class CostScope {
  public:
-#if !defined(TIGERVECTOR_NO_METRICS)
-  TraceSearchCost() : dist0_(tl_dist_evals), hops0_(tl_hops) {}
-  ~TraceSearchCost() {
-    obs::QueryTrace* trace = obs::CurrentTrace();
-    if (trace == nullptr) return;
-    trace->AddCounter("hnsw.distance_evals", tl_dist_evals - dist0_);
-    trace->AddCounter("hnsw.hops", tl_hops - hops0_);
+  CostScope(std::atomic<uint64_t>& distance_evals, std::atomic<uint64_t>& hops,
+            bool search)
+      : distance_evals_(distance_evals), hops_(hops), search_(search), outer_(tl_cost) {
+    tl_cost = CostTally{};
+  }
+  ~CostScope() {
+    const CostTally cost = tl_cost;
+    tl_cost = outer_;
+    distance_evals_.fetch_add(cost.distance_evals, std::memory_order_relaxed);
+    hops_.fetch_add(cost.hops, std::memory_order_relaxed);
+    TV_COUNTER_ADD("tv.hnsw.distance_evals_total", cost.distance_evals);
+    TV_COUNTER_ADD("tv.hnsw.hops_total", cost.hops);
+    if (search_) {
+      TV_TRACE_COUNTER_ADD("hnsw.distance_evals", cost.distance_evals);
+      TV_TRACE_COUNTER_ADD("hnsw.hops", cost.hops);
+    }
   }
 
+  CostScope(const CostScope&) = delete;
+  CostScope& operator=(const CostScope&) = delete;
+
  private:
-  uint64_t dist0_;
-  uint64_t hops0_;
-#endif
+  std::atomic<uint64_t>& distance_evals_;
+  std::atomic<uint64_t>& hops_;
+  const bool search_;
+  const CostTally outer_;
 };
 }  // namespace
 
@@ -147,7 +134,7 @@ HnswIndex::HnswIndex(const HnswParams& params)
 HnswIndex::~HnswIndex() = default;
 
 float HnswIndex::Dist(const float* query, uint32_t id) const {
-  CountDistComp(stat_dist_comps_);
+  ++tl_cost.distance_evals;
   return ComputeDistance(params_.metric, query, DataAt(id), params_.dim);
 }
 
@@ -170,7 +157,7 @@ void HnswIndex::ScoreBatchGather(const float* query, const Sq8View* qv,
     Sq8ScoreGather(params_.metric, query, qv->query, rows, codes, norms,
                    params_.dim, n, dists);
   }
-  CountDistComps(stat_dist_comps_, n);
+  tl_cost.distance_evals += n;
 }
 
 int HnswIndex::DrawLevel() {
@@ -201,7 +188,7 @@ uint32_t HnswIndex::GreedySearchLayer(const float* query, uint32_t entry,
       for (size_t j = 0; j < n; ++j) rows[j] = DataAt(neighbors[n0 + j]);
       ComputeDistanceBatchGather(params_.metric, query, rows, params_.dim, n,
                                  dists);
-      CountDistComps(stat_dist_comps_, n);
+      tl_cost.distance_evals += n;
       for (size_t j = 0; j < n; ++j) {
         if (dists[j] < curr_dist) {
           curr_dist = dists[j];
@@ -210,7 +197,7 @@ uint32_t HnswIndex::GreedySearchLayer(const float* query, uint32_t entry,
         }
       }
     }
-    CountHop(stat_hops_);
+    ++tl_cost.hops;
   }
   return curr;
 }
@@ -237,7 +224,7 @@ std::vector<HnswIndex::Candidate> HnswIndex::SearchLayer(const float* query,
     const Candidate c = frontier.top();
     if (top.size() >= ef && c.distance > top.top().distance) break;
     frontier.pop();
-    CountHop(stat_hops_);
+    ++tl_cost.hops;
     // Cooperative cancellation: a request deadline expiring mid-scan stops
     // the traversal within one check interval. The partial beam is
     // discarded by the caller (EmbeddingService checks the token after the
@@ -305,7 +292,7 @@ void HnswIndex::SelectNeighbors(std::vector<Candidate>& candidates, size_t m) co
     for (const Candidate& s : selected) {
       const float d = ComputeDistance(params_.metric, DataAt(c.id), DataAt(s.id),
                                       params_.dim);
-      CountDistComp(stat_dist_comps_);
+      ++tl_cost.distance_evals;
       if (d < c.distance) {
         good = false;
         break;
@@ -370,11 +357,10 @@ void HnswIndex::ConnectNode(uint32_t id, int level,
     peer_cands.reserve(links.size() + 1);
     const float* peer_vec = DataAt(c.id);
     for (uint32_t n : links) {
-      CountDistComp(stat_dist_comps_);
       peer_cands.push_back(
           Candidate{ComputeDistance(params_.metric, peer_vec, DataAt(n), params_.dim), n});
     }
-    CountDistComp(stat_dist_comps_);
+    tl_cost.distance_evals += links.size() + 1;
     peer_cands.push_back(
         Candidate{ComputeDistance(params_.metric, peer_vec, DataAt(id), params_.dim), id});
     SelectNeighbors(peer_cands, max_links);
@@ -398,6 +384,7 @@ void HnswIndex::LinkNode(uint32_t id, const float* vec, int node_level,
 
 Status HnswIndex::AddPoint(uint64_t label, const float* vec) {
   TV_SPAN("hnsw.insert");
+  CostScope cost_scope(stat_dist_comps_, stat_hops_, /*search=*/false);
   uint32_t existing = kInvalidId;
   {
     std::lock_guard<std::mutex> lock(global_mu_);
@@ -591,7 +578,7 @@ Status HnswIndex::GetEmbedding(uint64_t label, float* out) const {
 std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_t ef,
                                              const FilterView& filter) const {
   TV_SPAN("hnsw.search");
-  TraceSearchCost cost_scope;
+  CostScope cost_scope(stat_dist_comps_, stat_hops_, /*search=*/true);
   stat_searches_.fetch_add(1, std::memory_order_relaxed);
   TV_COUNTER_INC("tv.hnsw.searches_total");
   std::vector<SearchHit> out;
@@ -628,10 +615,15 @@ std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_
   }
   std::vector<Candidate> cands =
       SearchLayer(query, curr, std::max(ef, budget), 0, use_quant ? &qv : nullptr);
+  // The beam orders on distance alone, so the fp32 path also takes the
+  // candidates that tie the last one kept and lets the scan break the tie
+  // on the label, as every other scan does: a LIMIT k answer is then a
+  // prefix of the LIMIT k+n one.
   RowScan rerank = RowScan::TopK(query, params_.dim, params_.metric, k);
   size_t kept = 0;
+  float last_kept = 0.f;
   for (const Candidate& c : cands) {
-    if (kept == budget) break;
+    if (kept >= budget && (use_quant || c.distance != last_kept)) break;
     uint64_t label;
     {
       std::lock_guard<std::mutex> lock(node_locks_[c.id]);
@@ -641,16 +633,16 @@ std::vector<SearchHit> HnswIndex::TopKSearch(const float* query, size_t k, size_
     }
     if (!filter.Accepts(label)) continue;
     ++kept;
+    last_kept = c.distance;
     if (!use_quant) {
-      out.push_back(SearchHit{c.distance, label});
+      rerank.AddHit(SearchHit{c.distance, label});
     } else if (!rerank.Offer(label, DataAt(c.id))) {
       break;
     }
   }
-  if (!use_quant) return out;
   out = rerank.Finish();
-  CountDistComps(stat_dist_comps_, rerank.distance_evals());
-  simd::NoteQuantScan(kept);
+  tl_cost.distance_evals += rerank.distance_evals();
+  if (use_quant) simd::NoteQuantScan(kept);
   return out;
 }
 
@@ -662,7 +654,7 @@ std::vector<SearchHit> HnswIndex::RangeSearch(const float* query, float threshol
 
 std::vector<SearchHit> HnswIndex::BruteForceSearch(const float* query, size_t k,
                                                    const FilterView& filter) const {
-  TraceSearchCost cost_scope;
+  CostScope cost_scope(stat_dist_comps_, stat_hops_, /*search=*/true);
   const uint32_t count = NodeCount();
   std::shared_ptr<Sq8Tier> tier;
   {
@@ -690,7 +682,7 @@ std::vector<SearchHit> HnswIndex::BruteForceSearch(const float* query, size_t k,
     }
   }
   std::vector<SearchHit> hits = scan.Finish();
-  CountDistComps(stat_dist_comps_, scan.distance_evals());
+  tl_cost.distance_evals += scan.distance_evals();
   return hits;
 }
 
@@ -751,14 +743,6 @@ HnswStats HnswIndex::stats() const {
   s.inserts = stat_inserts_.load(std::memory_order_relaxed);
   s.updates = stat_updates_.load(std::memory_order_relaxed);
   return s;
-}
-
-void HnswIndex::ResetStats() {
-  stat_dist_comps_.store(0, std::memory_order_relaxed);
-  stat_hops_.store(0, std::memory_order_relaxed);
-  stat_searches_.store(0, std::memory_order_relaxed);
-  stat_inserts_.store(0, std::memory_order_relaxed);
-  stat_updates_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<uint64_t> HnswIndex::Labels() const {

@@ -90,7 +90,7 @@ class HnswIndex : public VectorIndex {
 
   // Approximate k-nearest search. `ef` is the layer-0 beam width (must be
   // >= k to be meaningful; clamped up internally). `filter` restricts the
-  // result set. Results are sorted by ascending distance.
+  // result set. Results are sorted by ascending distance, ties by label.
   std::vector<SearchHit> TopKSearch(const float* query, size_t k, size_t ef,
                                     const FilterView& filter) const override;
 
@@ -122,9 +122,10 @@ class HnswIndex : public VectorIndex {
   Status TrainQuantization() override;
   bool quant_active() const override;
 
-  // Snapshot of the cumulative counters.
+  // Snapshot of the cumulative counters. Distance evaluations and hops are
+  // tallied per thread and published once per AddPoint, TopKSearch or
+  // BruteForceSearch call, so they count in every build.
   HnswStats stats() const;
-  void ResetStats();
 
   // Serialization (index snapshot files, paper Fig. 4).
   Status SaveToFile(const std::string& path) const;

@@ -46,8 +46,9 @@ class Counter {
     std::atomic<uint64_t> v{0};
   };
   // One hash per thread, cached; threads spread across cells so concurrent
-  // writers rarely share a cache line. Kept inline: Add() is on the
-  // distance-evaluation hot path.
+  // writers rarely share a cache line. Kept inline: Add() runs once per
+  // query or per index call. Per-event counts, such as HNSW's distance
+  // evaluations, are tallied per thread and added here once per call.
   static size_t CellIndex() {
     static thread_local const size_t index =
         std::hash<std::thread::id>()(std::this_thread::get_id()) % kCells;

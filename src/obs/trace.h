@@ -107,6 +107,7 @@ void RecordSpanMicros(const char* name, double micros);
 #if defined(TIGERVECTOR_NO_METRICS)
 
 #define TV_SPAN(name) ((void)0)
+#define TV_TRACE_COUNTER_ADD(name, n) ((void)0)
 
 #else
 
@@ -116,6 +117,14 @@ void RecordSpanMicros(const char* name, double micros);
 //   TV_SPAN("hnsw.search");
 #define TV_SPAN(name) \
   ::tigervector::obs::ScopedSpan TV_OBS_CONCAT(_tv_span_, __LINE__)(name)
+
+// Adds `n` to a named counter of the active query trace, if one is active.
+#define TV_TRACE_COUNTER_ADD(name, n)                                     \
+  do {                                                                    \
+    ::tigervector::obs::QueryTrace* _tv_trace =                           \
+        ::tigervector::obs::CurrentTrace();                               \
+    if (_tv_trace != nullptr) _tv_trace->AddCounter(name, n);             \
+  } while (0)
 
 #endif  // TIGERVECTOR_NO_METRICS
 

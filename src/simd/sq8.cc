@@ -266,8 +266,8 @@ size_t Sq8DistanceBatchGather(Metric metric, const int8_t* query, int64_t query_
 }
 
 // ---------------------------------------------------------------------------
-// Per-query policy + stats (thread-local, mirroring the tl_dist_evals
-// idiom in hnsw_index.cc).
+// Per-query policy + stats (thread-local, mirroring the per-thread cost
+// tally in hnsw_index.cc).
 // ---------------------------------------------------------------------------
 
 namespace {

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "hnsw/hnsw_index.h"
 #include "hnsw/row_scan.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/datasets.h"
@@ -255,20 +259,44 @@ TEST_F(HnswFixture, CapacityExceededFails) {
 
 TEST_F(HnswFixture, StatsAccumulate) {
   Build(200, 8);
-  index_->ResetStats();
+  const HnswStats built = index_->stats();
+  EXPECT_EQ(built.inserts, 200u);
+  EXPECT_GT(built.distance_computations, 0u);
   Rng rng(35);
   auto q = RandomPoint(&rng, 8);
   index_->TopKSearch(q.data(), 5, 32);
-  HnswStats stats = index_->stats();
-  EXPECT_EQ(stats.searches, 1u);
-  EXPECT_GT(stats.distance_computations, 0u);
-  EXPECT_GT(stats.hops, 0u);
-  index_->ResetStats();
-  EXPECT_EQ(index_->stats().searches, 0u);
+  const HnswStats searched = index_->stats();
+  EXPECT_EQ(searched.searches - built.searches, 1u);
+  EXPECT_GT(searched.distance_computations, built.distance_computations);
+  EXPECT_GT(searched.hops, built.hops);
   // The brute-force tier scores every live row once.
   ASSERT_TRUE(index_->MarkDeleted(3).ok());
   index_->BruteForceSearch(q.data(), 5);
-  EXPECT_EQ(index_->stats().distance_computations, 199u);
+  EXPECT_EQ(index_->stats().distance_computations - searched.distance_computations,
+            199u);
+}
+
+// Ten copies of one vector, inserted in descending label order so internal
+// ids run against labels. The tie at every k cut must break on the label, as
+// it does in every scan, so each LIMIT k answer is a prefix of the next.
+TEST_F(HnswFixture, TiedDistancesBreakOnLabel) {
+  index_ = std::make_unique<HnswIndex>(SmallParams(4, 64));
+  const std::vector<float> dup = {1, 2, 3, 4};
+  for (uint64_t label = 10; label-- > 0;) {
+    ASSERT_TRUE(index_->AddPoint(label, dup.data()).ok());
+  }
+  Rng rng(71);
+  for (uint64_t label = 10; label < 40; ++label) {
+    ASSERT_TRUE(index_->AddPoint(label, RandomPoint(&rng, 4).data()).ok());
+  }
+  for (size_t k = 1; k <= 10; ++k) {
+    const auto hits = index_->TopKSearch(dup.data(), k, 64);
+    ASSERT_EQ(hits.size(), k);
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(hits[i].label, i) << "k=" << k;
+      EXPECT_EQ(hits[i].distance, 0.0f) << "k=" << k;
+    }
+  }
 }
 
 TEST_F(HnswFixture, SaveLoadRoundTrip) {
@@ -489,6 +517,92 @@ TEST_P(HnswUpdateRecallTest, ReembedKeepsRecallAndSelfFound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SerialAndPool, HnswUpdateRecallTest, ::testing::Bool());
+
+#if !defined(TIGERVECTOR_NO_METRICS)
+// Each distance evaluation and hop is counted once: in the index's stats, in
+// the process-wide registry and, for a search, in the trace of the query that
+// ran it. Four threads search two indexes, each index under its own trace,
+// while a pooled UpdateItems inserts into and re-embeds one of them. Range
+// searches re-run TopKSearch with a doubled k, and must not count twice.
+TEST(HnswCostTest, EachEvaluationCountedOnce) {
+  const size_t n = 1500, dim = 16;
+  Rng rng(81);
+  std::vector<std::vector<float>> data;
+  for (size_t i = 0; i < 2 * n; ++i) data.push_back(RandomPoint(&rng, dim));
+  HnswIndex searched(SmallParams(dim, n));
+  HnswIndex merged(SmallParams(dim, 2 * n));
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(searched.AddPoint(i, data[i].data()).ok());
+    ASSERT_TRUE(merged.AddPoint(i, data[i].data()).ok());
+  }
+  std::vector<HnswIndex::UpdateItem> items;
+  for (size_t i = n; i < 2 * n; ++i) items.push_back({i, false, data[i]});
+  for (size_t i = 0; i < n / 2; ++i) items.push_back({i, false, data[2 * n - 1 - i]});
+
+  obs::Counter* evals_total =
+      obs::MetricsRegistry::Global().GetCounter("tv.hnsw.distance_evals_total");
+  obs::Counter* hops_total = obs::MetricsRegistry::Global().GetCounter("tv.hnsw.hops_total");
+  const HnswStats searched0 = searched.stats();
+  const HnswStats merged0 = merged.stats();
+  const uint64_t evals0 = evals_total->Value();
+  const uint64_t hops0 = hops_total->Value();
+
+  constexpr size_t kThreads = 4;
+  std::array<obs::QueryTrace, kThreads> searched_traces;
+  std::array<obs::QueryTrace, kThreads> merged_traces;
+  auto search = [&](const HnswIndex& index, obs::QueryTrace* trace, const float* q) {
+    obs::ScopedTraceActivation activation(trace);
+    const auto hits = index.TopKSearch(q, 10, 48);
+    ASSERT_FALSE(hits.empty());
+    index.RangeSearch(q, hits.back().distance * 1.5f, 2, 16);
+    index.BruteForceSearch(q, 5);
+  };
+  std::vector<std::thread> searchers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    searchers.emplace_back([&, t] {
+      Rng qrng(90 + t);
+      for (int q = 0; q < 25; ++q) {
+        const auto query = RandomPoint(&qrng, dim);
+        search(searched, &searched_traces[t], query.data());
+        search(merged, &merged_traces[t], query.data());
+      }
+    });
+  }
+  ThreadPool pool(4);
+  const Status merge = merged.UpdateItems(items, &pool);
+  for (std::thread& th : searchers) th.join();
+  ASSERT_TRUE(merge.ok()) << merge.ToString();
+
+  uint64_t searched_trace_evals = 0, searched_trace_hops = 0;
+  uint64_t merged_trace_evals = 0, merged_trace_hops = 0;
+  for (size_t t = 0; t < kThreads; ++t) {
+    searched_trace_evals += searched_traces[t].Counters()["hnsw.distance_evals"];
+    searched_trace_hops += searched_traces[t].Counters()["hnsw.hops"];
+    merged_trace_evals += merged_traces[t].Counters()["hnsw.distance_evals"];
+    merged_trace_hops += merged_traces[t].Counters()["hnsw.hops"];
+  }
+  const HnswStats searched1 = searched.stats();
+  const HnswStats merged1 = merged.stats();
+  const uint64_t searched_evals =
+      searched1.distance_computations - searched0.distance_computations;
+  const uint64_t searched_hops = searched1.hops - searched0.hops;
+  const uint64_t merged_evals = merged1.distance_computations - merged0.distance_computations;
+  const uint64_t merged_hops = merged1.hops - merged0.hops;
+
+  EXPECT_EQ(searched_evals + merged_evals, evals_total->Value() - evals0);
+  EXPECT_EQ(searched_hops + merged_hops, hops_total->Value() - hops0);
+  // `searched` only served the traced searches.
+  EXPECT_GT(searched_evals, 0u);
+  EXPECT_EQ(searched_evals, searched_trace_evals);
+  EXPECT_EQ(searched_hops, searched_trace_hops);
+  // The merge ran untraced on the pool's threads: counted in `merged`'s stats
+  // on top of its searches, in no trace.
+  EXPECT_GT(merged_evals, merged_trace_evals);
+  EXPECT_GT(merged_hops, merged_trace_hops);
+  EXPECT_EQ(merged1.inserts - merged0.inserts, n);
+  EXPECT_EQ(merged1.updates - merged0.updates, n / 2);
+}
+#endif  // !TIGERVECTOR_NO_METRICS
 
 // ---------------- RowScan (the shared exact scan) ----------------
 
