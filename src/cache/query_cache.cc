@@ -31,6 +31,14 @@ Fingerprint FingerprintBytes(const void* data, size_t len) {
   return Fingerprint{Mix64(h1 ^ (h2 >> 32)), Mix64(h2 ^ (h1 >> 32))};
 }
 
+Fingerprint FingerprintFilter(const Bitmap* filter) {
+  if (filter == nullptr) return Fingerprint{};
+  const std::vector<uint64_t>& words = filter->words();
+  size_t used = words.size();
+  while (used > 0 && words[used - 1] == 0) --used;
+  return FingerprintBytes(words.data(), used * sizeof(uint64_t));
+}
+
 namespace {
 
 bool EnvEnabled(bool fallback) {
@@ -86,7 +94,7 @@ QueryCache::BitmapPtr QueryCache::LookupBitmap(const CacheKey& key) {
 void QueryCache::InsertBitmap(const CacheKey& key, BitmapPtr bitmap) {
   if (!enabled() || bitmap == nullptr) return;
   const size_t cost = BitmapCost(*bitmap);
-  const size_t evicted = bitmaps_.Insert(key, std::move(bitmap), cost);
+  [[maybe_unused]] const size_t evicted = bitmaps_.Insert(key, std::move(bitmap), cost);
   TV_COUNTER_ADD("tv.cache.bitmap.evictions_total", evicted);
   TV_GAUGE_SET("tv.cache.bitmap.bytes", static_cast<int64_t>(bitmaps_.bytes()));
 }
@@ -111,7 +119,7 @@ QueryCache::TopKPtr QueryCache::LookupTopK(const CacheKey& key) {
 void QueryCache::InsertTopK(const CacheKey& key, TopKPtr entry) {
   if (!enabled() || entry == nullptr) return;
   const size_t cost = TopKCost(*entry);
-  const size_t evicted = topk_.Insert(key, std::move(entry), cost);
+  [[maybe_unused]] const size_t evicted = topk_.Insert(key, std::move(entry), cost);
   TV_COUNTER_ADD("tv.cache.topk.evictions_total", evicted);
   TV_GAUGE_SET("tv.cache.topk.bytes", static_cast<int64_t>(topk_.bytes()));
 }

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -60,34 +59,11 @@ inline Fingerprint CombineFingerprints(Fingerprint a, const Fingerprint& b) {
   return CombineFingerprint(a, b.lo);
 }
 
-// Order-independent fingerprint of an unordered id container (e.g. a
-// VertexSet candidate filter): per-id mixes are folded with commutative
-// accumulators so iteration order cannot change the key. Sum/xor alone
-// would make the fold a linear map over the per-id mixes (collisions
-// reduce to solving a small linear system rather than inverting the
-// mixer), so a fourth accumulator rotates each mix by an amount derived
-// from the id itself — the data-dependent rotation breaks linearity while
-// staying commutative.
-template <typename Container>
-Fingerprint FingerprintIdSetUnordered(const Container& ids) {
-  uint64_t sum1 = 0, xor1 = 0, sum2 = 0, rot = 0;
-  uint64_t n = 0;
-  for (const auto& id : ids) {
-    const uint64_t v = static_cast<uint64_t>(id);
-    const uint64_t a = Mix64(v + 0x9e3779b97f4a7c15ULL);
-    const uint64_t b = Mix64(v ^ 0xc2b2ae3d27d4eb4fULL);
-    const unsigned r = static_cast<unsigned>(b & 63);
-    sum1 += a;
-    xor1 ^= a;
-    sum2 += b;
-    rot += (a << r) | (a >> ((64 - r) & 63));
-    ++n;
-  }
-  Fingerprint fp;
-  fp.hi = Mix64(sum1 + Mix64(xor1 ^ n)) ^ Mix64(rot);
-  fp.lo = Mix64(sum2 ^ Mix64(n + 0xa0761d6478bd642fULL)) + Mix64(rot ^ n);
-  return fp;
-}
+// Fingerprint of a candidate filter bitmap over global vids, for the top-k
+// key: its words up to the last non-zero one, so the same set in bitmaps of
+// different sizes shares a key. A null filter (accept all) is the default
+// Fingerprint{}; an empty set fingerprints zero bytes, which differs.
+Fingerprint FingerprintFilter(const Bitmap* filter);
 
 // --- cache keys -----------------------------------------------------------
 
@@ -147,7 +123,9 @@ inline const char* OutcomeName(Outcome o) {
 // A capacity-bounded (in bytes) LRU map sharded by key hash. Each shard has
 // its own mutex, intrusive LRU list, and byte budget of capacity/shards;
 // eviction is per shard from the LRU tail. Values are cheap to copy
-// (shared_ptr in both tiers).
+// (shared_ptr in both tiers). The LRU list is threaded through the map's
+// own nodes, whose addresses survive rehashing, so an entry costs one
+// allocation besides its value.
 template <typename Value>
 class ShardedLruCache {
  public:
@@ -166,8 +144,9 @@ class ShardedLruCache {
     std::lock_guard<std::mutex> lock(s.mu);
     auto it = s.map.find(key);
     if (it == s.map.end()) return false;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    *out = it->second->value;
+    s.Unlink(&*it);
+    s.PushFront(&*it);
+    *out = it->second.value;
     return true;
   }
 
@@ -183,21 +162,14 @@ class ShardedLruCache {
     // replaced.
     if (bytes > per_shard_capacity_) return 0;
     auto it = s.map.find(key);
-    if (it != s.map.end()) {
-      s.bytes -= it->second->bytes;
-      s.lru.erase(it->second);
-      s.map.erase(it);
-    }
+    if (it != s.map.end()) s.Erase(&*it);
     size_t evicted = 0;
-    while (s.bytes + bytes > per_shard_capacity_ && !s.lru.empty()) {
-      const Entry& tail = s.lru.back();
-      s.bytes -= tail.bytes;
-      s.map.erase(tail.key);
-      s.lru.pop_back();
+    while (s.bytes + bytes > per_shard_capacity_ && s.tail != nullptr) {
+      s.Erase(s.tail);
       ++evicted;
     }
-    s.lru.push_front(Entry{key, std::move(value), bytes});
-    s.map[key] = s.lru.begin();
+    Node* node = &*s.map.emplace(key, Entry{std::move(value), bytes}).first;
+    s.PushFront(node);
     s.bytes += bytes;
     evictions_.fetch_add(evicted, std::memory_order_relaxed);
     return evicted;
@@ -207,8 +179,8 @@ class ShardedLruCache {
     for (size_t i = 0; i < num_shards_; ++i) {
       Shard& s = shards_[i];
       std::lock_guard<std::mutex> lock(s.mu);
-      s.lru.clear();
       s.map.clear();
+      s.head = s.tail = nullptr;
       s.bytes = 0;
     }
   }
@@ -235,16 +207,38 @@ class ShardedLruCache {
   size_t capacity_bytes() const { return per_shard_capacity_ * num_shards_; }
 
  private:
+  struct Entry;
+  using Node = std::pair<const CacheKey, Entry>;
   struct Entry {
-    CacheKey key;
     Value value;
     size_t bytes;
+    Node* prev = nullptr;  // toward the most recent entry
+    Node* next = nullptr;  // toward the least recent entry
   };
   struct Shard {
     mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recent
-    std::unordered_map<CacheKey, typename std::list<Entry>::iterator, CacheKeyHash> map;
+    std::unordered_map<CacheKey, Entry, CacheKeyHash> map;
+    Node* head = nullptr;  // most recent
+    Node* tail = nullptr;  // least recent, evicted first
     size_t bytes = 0;
+
+    void Unlink(Node* n) {
+      Entry& e = n->second;
+      (e.prev != nullptr ? e.prev->second.next : head) = e.next;
+      (e.next != nullptr ? e.next->second.prev : tail) = e.prev;
+      e.prev = e.next = nullptr;
+    }
+    void PushFront(Node* n) {
+      n->second.next = head;
+      (head != nullptr ? head->second.prev : tail) = n;
+      head = n;
+    }
+    void Erase(Node* n) {
+      Unlink(n);
+      bytes -= n->second.bytes;
+      const CacheKey key = n->first;  // erase must not read the dying node
+      map.erase(key);
+    }
   };
 
   Shard& ShardFor(const CacheKey& key) {

@@ -66,7 +66,16 @@ Result<size_t> Database::Vacuum() {
 Result<VertexSet> Database::VectorSearch(
     const std::vector<std::pair<std::string, std::string>>& attrs,
     const std::vector<float>& query, size_t k, const VectorSearchFnOptions& options) {
-  auto result = Search(attrs, query, k, std::nullopt, options);
+  // The public API's VertexSet filter becomes the search's bitmap here;
+  // SELECT blocks hand their own candidate bitmap to Search.
+  Bitmap filter;
+  VectorSearchFnOptions search_options = options;
+  if (options.filter != nullptr) {
+    filter = VertexSetToBitmap(*options.filter, store_->vid_upper_bound());
+    search_options.filter = nullptr;
+  }
+  auto result = Search(attrs, query, k, std::nullopt,
+                       options.filter != nullptr ? &filter : nullptr, search_options);
   if (!result.ok()) return result.status();
   if (options.result_stats != nullptr) *options.result_stats = *result;
   VertexSet out;
@@ -82,7 +91,11 @@ Result<VertexSet> Database::VectorSearch(
 Result<VectorSearchResult> Database::Search(
     const std::vector<std::pair<std::string, std::string>>& attrs,
     const std::vector<float>& query, size_t k, std::optional<float> range,
-    const VectorSearchFnOptions& options) {
+    const Bitmap* filter, const VectorSearchFnOptions& options) {
+  if (options.filter != nullptr) {
+    return Status::InvalidArgument(
+        "Search takes its filter as a bitmap, not options.filter");
+  }
   // Drop attributes whose vertex type the role cannot read (their vectors
   // are "unauthorized", paper Sec. 5.1); fail only when nothing remains.
   std::vector<std::pair<std::string, std::string>> permitted;
@@ -136,17 +149,11 @@ Result<VectorSearchResult> Database::Search(
   // search answers at exactly this tid and the result cache keys on it.
   request.read_tid =
       options.read_tid != kMaxTid ? options.read_tid : store_->visible_tid();
-  // The O(vid_upper_bound) filter bitmap is built only when the search
-  // runs, so a warm cache hit skips it. With a simulated MPP cluster the
-  // search scatters to the logical servers and gathers their local answers;
-  // the merge keeps the result bit-identical to the single-node path, so
-  // both share one cache.
-  Bitmap filter_bitmap;
+  request.filter = FilterView(filter);
+  // With a simulated MPP cluster the search scatters to the logical servers
+  // and gathers their local answers; the merge keeps the result
+  // bit-identical to the single-node path, so both share one cache.
   auto run = [&]() -> Result<VectorSearchResult> {
-    if (options.filter != nullptr) {
-      filter_bitmap = VertexSetToBitmap(*options.filter, store_->vid_upper_bound());
-      request.filter = FilterView(&filter_bitmap);
-    }
     if (range.has_value()) {
       return cluster_ != nullptr
                  ? cluster_->DistributedRange(request, *range, options.mpp_stats)
@@ -182,14 +189,9 @@ Result<VectorSearchResult> Database::Search(
   fp = cache::CombineFingerprint(fp, request.rerank_factor != 0
                                          ? request.rerank_factor
                                          : simd::DefaultRerankFactor());
-  // The candidate set is fingerprinted order-independently; the default
-  // Fingerprint{} stands for accept-all.
-  const cache::Fingerprint filter_fp =
-      options.filter != nullptr ? cache::FingerprintIdSetUnordered(*options.filter)
-                                : cache::Fingerprint{};
   const uint64_t structure_version = embeddings_->structure_version();
-  const cache::CacheKey key =
-      cache::TopKKey(fp, filter_fp, request.read_tid, structure_version);
+  const cache::CacheKey key = cache::TopKKey(fp, cache::FingerprintFilter(filter),
+                                             request.read_tid, structure_version);
   if (cache::QueryCache::TopKPtr entry = cache_->LookupTopK(key)) {
     if (options.cache_outcome != nullptr) *options.cache_outcome = cache::Outcome::kHit;
     VectorSearchResult cached;

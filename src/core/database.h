@@ -134,12 +134,15 @@ class Database {
   // MPP cluster when there is one and on the embedding service otherwise,
   // and serves top-k answers through the result cache. With `range` set it
   // is a range search instead: every hit with distance < *range, never
-  // cached. Fills options.mpp_stats and options.cache_outcome when set, and
-  // leaves options.distance_map and options.result_stats to VectorSearch.
+  // cached. `filter` is the candidate bitmap over global vids (any size;
+  // null accepts every visible vertex); a non-null options.filter is
+  // rejected with InvalidArgument.
+  // Fills options.mpp_stats and options.cache_outcome when set, and leaves
+  // options.distance_map and options.result_stats to VectorSearch.
   Result<VectorSearchResult> Search(
       const std::vector<std::pair<std::string, std::string>>& attrs,
       const std::vector<float>& query, size_t k, std::optional<float> range,
-      const VectorSearchFnOptions& options);
+      const Bitmap* filter, const VectorSearchFnOptions& options);
 
  private:
   Options options_;

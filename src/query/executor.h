@@ -61,7 +61,9 @@ struct SelectResult {
 // Executes parsed SELECT blocks and VectorSearch() calls against a
 // Database. Pattern evaluation follows the pre-filter design of the paper:
 // graph predicates and pattern connectivity produce a candidate bitmap
-// first, then a single EmbeddingAction consumes it (Sec. 5.2-5.3).
+// first, then a single EmbeddingAction consumes it (Sec. 5.2-5.3). Every
+// candidate set inside a block is a Bitmap over global vids; VertexSet
+// appears only where a set enters (variables) or leaves (results).
 class QueryExecutor {
  public:
   explicit QueryExecutor(Database* db) : db_(db) {}
@@ -119,12 +121,17 @@ class QueryExecutor {
     size_t bypasses = 0;
   };
 
-  // Base candidate set of a node (type scan or variable), with predicates.
-  // Type scans consult the per-segment predicate bitmap cache; `probe`
+  // Rejects a type-scan node without a vertex type or over a type the role
+  // cannot read; variable-bound nodes filter per vertex instead.
+  Status CheckReadable(const ResolvedNode& node) const;
+
+  // Base candidate bitmap of a node (type scan or variable), with
+  // predicates, over global vids and sized to the segments' extent. Type
+  // scans consult the per-segment predicate bitmap cache; `probe`
   // (optional) receives the per-segment outcome tally.
-  Result<VertexSet> BaseSet(const ResolvedNode& node, Tid read_tid,
-                            const QueryParams& params,
-                            ScanCacheProbe* probe = nullptr) const;
+  Result<Bitmap> BaseSet(const ResolvedNode& node, Tid read_tid,
+                         const QueryParams& params,
+                         ScanCacheProbe* probe = nullptr) const;
 
   Database* db_;
   std::string role_;

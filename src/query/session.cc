@@ -65,7 +65,7 @@ QueryPrefix StripQueryPrefix(const std::string& script, std::string* body) {
 }
 
 // Classifies a failed run for the tv.query.errors_total{kind} counter.
-const char* ErrorKind(const Status& status) {
+[[maybe_unused]] const char* ErrorKind(const Status& status) {
   if (status.code() == StatusCode::kParseError) return "parse";
   if (status.code() == StatusCode::kDeadlineExceeded) return "deadline";
   if (status.code() == StatusCode::kUnavailable) return "cancelled";

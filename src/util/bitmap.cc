@@ -66,6 +66,17 @@ size_t Bitmap::CountRange(size_t begin, size_t end) const {
   return count;
 }
 
+size_t Bitmap::NextSet(size_t from) const {
+  if (from >= size_) return size_;
+  size_t w = from / kBitsPerWord;
+  uint64_t bits = words_[w] & (~uint64_t{0} << (from % kBitsPerWord));
+  while (bits == 0) {
+    if (++w == words_.size()) return size_;
+    bits = words_[w];
+  }
+  return w * kBitsPerWord + static_cast<size_t>(std::countr_zero(bits));
+}
+
 void Bitmap::And(const Bitmap& other) {
   assert(size_ == other.size_);
   for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
@@ -76,12 +87,20 @@ void Bitmap::Or(const Bitmap& other) {
   for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
 }
 
-void Bitmap::SetAll() {
-  Resize(size_, true);
-}
-
-void Bitmap::ClearAll() {
-  words_.assign(words_.size(), 0);
+void Bitmap::OrAt(const Bitmap& other, size_t offset) {
+  assert(offset + other.size_ <= size_);
+  const size_t first = offset / kBitsPerWord;
+  const unsigned shift = offset % kBitsPerWord;
+  for (size_t i = 0; i < other.words_.size(); ++i) {
+    const uint64_t w = other.words_[i];
+    if (w == 0) continue;
+    words_[first + i] |= w << shift;
+    // The high bits spill into the next word; none spill past size() since
+    // other's tail bits are clear.
+    if (shift != 0 && first + i + 1 < words_.size()) {
+      words_[first + i + 1] |= w >> (kBitsPerWord - shift);
+    }
+  }
 }
 
 }  // namespace tigervector

@@ -31,13 +31,22 @@ class Bitmap {
   // brute-force-threshold check on per-segment id ranges.
   size_t CountRange(size_t begin, size_t end) const;
 
+  // Smallest set bit >= `from`, or size() when there is none. Walks the
+  // set bits in ascending order:
+  //   for (size_t i = bm.NextSet(0); i < bm.size(); i = bm.NextSet(i + 1))
+  size_t NextSet(size_t from) const;
+
   // In-place intersection; both bitmaps must have equal size.
   void And(const Bitmap& other);
   // In-place union; both bitmaps must have equal size.
   void Or(const Bitmap& other);
+  // In-place union of `other` shifted up by `offset` bits (any alignment);
+  // offset + other.size() must not exceed size().
+  void OrAt(const Bitmap& other, size_t offset);
 
-  void SetAll();
-  void ClearAll();
+  // The backing words, least significant bit first; bits past size() are
+  // always clear.
+  const std::vector<uint64_t>& words() const { return words_; }
 
  private:
   std::vector<uint64_t> words_;

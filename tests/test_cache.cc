@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -34,10 +35,6 @@ TEST(FingerprintTest, ExactValuePins) {
   const Fingerprint s = cache::FingerprintString("Post.content_emb");
   EXPECT_EQ(s.hi, 0xab2461bb35df23e6ULL);
   EXPECT_EQ(s.lo, 0x192eb386ccd63e44ULL);
-  const std::vector<uint64_t> ids = {3, 7, 11};
-  const Fingerprint u = cache::FingerprintIdSetUnordered(ids);
-  EXPECT_EQ(u.hi, 0xd051c81a8bcb1e00ULL);
-  EXPECT_EQ(u.lo, 0xe12c4545c37feb44ULL);
   const float q[4] = {1.0f, 2.0f, 3.0f, 4.0f};
   const Fingerprint b = cache::FingerprintBytes(q, sizeof(q));
   EXPECT_EQ(b.hi, 0x0db431570f940fb2ULL);
@@ -67,21 +64,48 @@ TEST(FingerprintTest, DistinctInputsDistinctFingerprints) {
             cache::FingerprintBytes(q2, sizeof(q2)));
 }
 
-TEST(FingerprintTest, IdSetFingerprintIsOrderIndependent) {
-  const std::vector<uint64_t> a = {5, 900, 17, 3};
-  const std::vector<uint64_t> b = {3, 17, 900, 5};
-  EXPECT_EQ(cache::FingerprintIdSetUnordered(a), cache::FingerprintIdSetUnordered(b));
-  // ...but content-sensitive: one extra, one missing, and a swapped element
-  // all change it.
-  const std::vector<uint64_t> c = {5, 900, 17};
-  const std::vector<uint64_t> d = {5, 900, 17, 4};
-  EXPECT_NE(cache::FingerprintIdSetUnordered(a), cache::FingerprintIdSetUnordered(c));
-  EXPECT_NE(cache::FingerprintIdSetUnordered(a), cache::FingerprintIdSetUnordered(d));
-  // Empty set is distinct from {0}.
-  const std::vector<uint64_t> empty;
-  const std::vector<uint64_t> zero = {0};
-  EXPECT_NE(cache::FingerprintIdSetUnordered(empty),
-            cache::FingerprintIdSetUnordered(zero));
+// The top-k key of a filter fingerprints the bitmap's words up to the last
+// non-zero one: the set decides the key, not the size of the bitmap.
+TEST(FingerprintTest, FilterKeyIgnoresBitmapSize) {
+  Bitmap small(70);
+  Bitmap large(4096);
+  for (size_t vid : {3, 64, 69}) {
+    small.Set(vid);
+    large.Set(vid);
+  }
+  EXPECT_EQ(cache::FingerprintFilter(&small), cache::FingerprintFilter(&large));
+  EXPECT_EQ(cache::FingerprintFilter(&small), cache::FingerprintFilter(&small));
+}
+
+TEST(FingerprintTest, FilterKeySeparatesEmptyZeroAndAcceptAll) {
+  Bitmap empty(128);
+  Bitmap zero(128);
+  zero.Set(0);
+  const Fingerprint e = cache::FingerprintFilter(&empty);
+  const Fingerprint z = cache::FingerprintFilter(&zero);
+  const Fingerprint all = cache::FingerprintFilter(nullptr);
+  EXPECT_NE(e, z);
+  EXPECT_NE(e, all);
+  EXPECT_NE(z, all);
+  // An empty set is one key whatever the bitmap's size.
+  const Bitmap no_bits;
+  EXPECT_EQ(cache::FingerprintFilter(&empty), cache::FingerprintFilter(&no_bits));
+}
+
+TEST(FingerprintTest, FilterKeyChangesWithOneBit) {
+  Bitmap a(300);
+  for (size_t vid : {5, 17, 200}) a.Set(vid);
+  const Fingerprint base = cache::FingerprintFilter(&a);
+  for (size_t vid : {0, 6, 63, 64, 201, 299}) {
+    Bitmap plus = a;
+    plus.Set(vid);
+    EXPECT_NE(cache::FingerprintFilter(&plus), base) << "added " << vid;
+  }
+  for (size_t vid : {5, 17, 200}) {
+    Bitmap minus = a;
+    minus.Clear(vid);
+    EXPECT_NE(cache::FingerprintFilter(&minus), base) << "removed " << vid;
+  }
 }
 
 TEST(FingerprintTest, VersionWordsAreExactNotHashed) {
@@ -374,6 +398,23 @@ TEST_F(CacheFixture, PureTopKMissThenHit) {
   EXPECT_TRUE(Has(other, "* cache: miss")) << other;
 }
 
+// A pure top-k passes a null filter, so it scans no VertexAction segment:
+// the bitmap tier sees no lookup at all. EXPLAIN ANALYZE still reports the
+// node's rows, every visible Post.
+TEST_F(CacheFixture, PureTopKScansNothing) {
+  const QueryCache::TierStats before = db_->cache()->bitmap_stats();
+  auto plain = session_->Run(kPureTopK, Params({21, 0, 0, 0}));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_EQ(plain->prints[0].vertices.size(), 2u);
+  const QueryCache::TierStats after = db_->cache()->bitmap_stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.bypasses, before.bypasses);
+  const std::string analyzed = Analyze(kPureTopK, Params({21, 0, 0, 0}));
+  EXPECT_TRUE(Has(analyzed, "* rows: " + std::to_string(posts_.size()) + "\n"))
+      << analyzed;
+}
+
 TEST_F(CacheFixture, FilteredTopKScanAndResultTiers) {
   const std::string q =
       "R = SELECT s FROM (s:Post) WHERE s.language = \"English\""
@@ -421,6 +462,72 @@ TEST_F(CacheFixture, ComposedVectorSearchShape) {
   EXPECT_FALSE(Has(second, "* cache: miss")) << second;
 }
 
+// A filtered SELECT top-k and VectorSearch() over the same candidate set
+// take one filter path: the same bitmap key, the same search. Segments of
+// 256 vids make the SELECT's bitmap (the segments' extent) longer than
+// VectorSearch()'s (vid_upper_bound), so the shared key also shows that
+// the key ignores trailing zero words.
+TEST(FilterPathTest, SelectAndVectorSearchShareOneFilterPath) {
+  Database::Options options;
+  options.store.segment_capacity = 256;
+  Database db(options);
+  GsqlSession session(&db);
+  auto ddl = session.Run(
+      "CREATE VERTEX Doc (lang STRING);"
+      "ALTER VERTEX Doc ADD EMBEDDING ATTRIBUTE emb (DIMENSION = 4, MODEL = M,"
+      " INDEX = HNSW, DATATYPE = FLOAT, METRIC = L2);");
+  ASSERT_TRUE(ddl.ok()) << ddl.status().ToString();
+  Transaction txn = db.Begin();
+  for (int i = 0; i < 40; ++i) {
+    auto vid = txn.InsertVertex("Doc", {std::string(i % 3 == 0 ? "en" : "de")});
+    ASSERT_TRUE(vid.ok());
+    ASSERT_TRUE(txn.SetEmbedding(*vid, "Doc", "emb",
+                                 {static_cast<float>(i % 7), static_cast<float>(i), 0, 0})
+                    .ok());
+  }
+  ASSERT_TRUE(txn.Commit().ok());
+  ASSERT_TRUE(db.Vacuum().ok());
+  QueryParams params;
+  params["qv"] = std::vector<float>{3, 20, 0, 0};
+  const std::string select =
+      "R = SELECT s FROM (s:Doc) WHERE s.lang = \"de\""
+      " ORDER BY VECTOR_DIST(s.emb, $qv) LIMIT 5; PRINT @@R_dist;";
+  const std::string composed =
+      "Cand = SELECT s FROM (s:Doc) WHERE s.lang = \"de\";"
+      "R = VectorSearch({Doc.emb}, $qv, 5, {filter: Cand, distanceMap: @@D});"
+      "PRINT @@D;";
+  auto ranked = [](const ScriptResult& result) {
+    std::vector<std::pair<float, VertexId>> out;
+    for (const auto& [vid, distance] : result.prints.back().distances) {
+      out.emplace_back(distance, vid);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  GsqlSession bypass(&db);
+  bypass.SetCacheBypass(true);
+  auto select_raw = bypass.Run(select, params);
+  auto composed_raw = bypass.Run(composed, params);
+  ASSERT_TRUE(select_raw.ok()) << select_raw.status().ToString();
+  ASSERT_TRUE(composed_raw.ok()) << composed_raw.status().ToString();
+  EXPECT_EQ(ranked(*select_raw).size(), 5u);
+  EXPECT_EQ(ranked(*select_raw), ranked(*composed_raw));
+
+  // With the cache on, the composed search hits the SELECT's top-k entry.
+  auto first = session.Run("EXPLAIN ANALYZE " + select, params);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_NE(first->explain.find("* cache: miss"), std::string::npos) << first->explain;
+  const uint64_t hits0 = db.cache()->topk_stats().hits;
+  auto second = session.Run("EXPLAIN ANALYZE " + composed, params);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(db.cache()->topk_stats().hits - hits0, 1u);
+  const size_t at = second->explain.find("EmbeddingAction[VectorSearch");
+  ASSERT_NE(at, std::string::npos) << second->explain;
+  EXPECT_NE(second->explain.find("* cache: hit", at), std::string::npos)
+      << second->explain;
+  EXPECT_EQ(ranked(*second), ranked(*select_raw));
+}
+
 TEST_F(CacheFixture, RangeShapeIsAlwaysBypass) {
   const std::string q =
       "R = SELECT s FROM (s:Post)"
@@ -463,9 +570,11 @@ TEST_F(CacheFixture, ProfileAlwaysBypassesCache) {
       session_->Run(std::string("PROFILE ") + kPureTopK, Params({21, 0, 0, 0}));
   ASSERT_TRUE(prof.ok()) << prof.status().ToString();
   ASSERT_TRUE(prof->profiled);
+#if !defined(TIGERVECTOR_NO_METRICS)  // profile counters are compiled out
   auto it = prof->profile_counters.find("hnsw.distance_evals");
   ASSERT_NE(it, prof->profile_counters.end()) << prof->profile;
   EXPECT_GT(it->second, 0u);
+#endif
   // The forced bypass is scoped to the PROFILE run: the next plain query on
   // the same session is served from the still-warm cache.
   EXPECT_TRUE(Has(Analyze(kPureTopK, Params({21, 0, 0, 0})), "* cache: hit"));

@@ -248,7 +248,7 @@ TEST(DatabaseSearchTest, UnknownAttributeIsNotFoundOnOneAndThreeServers) {
                                Attrs{{"Post", "emb"}, {"Post", "nope"}}}) {
       for (std::optional<float> range :
            {std::optional<float>(), std::optional<float>(4.0f)}) {
-        auto result = db.Search(attrs, q, 5, range, {});
+        auto result = db.Search(attrs, q, 5, range, /*filter=*/nullptr, {});
         ASSERT_FALSE(result.ok()) << servers << " servers";
         EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
         EXPECT_EQ(result.status().message(), "embedding attribute nope on Post");
@@ -257,6 +257,37 @@ TEST(DatabaseSearchTest, UnknownAttributeIsNotFoundOnOneAndThreeServers) {
     EXPECT_EQ(db.VectorSearch({{"Post", "nope"}}, q, 5).status().code(),
               StatusCode::kNotFound);
   }
+}
+
+// Search reads its filter only as a bitmap: a VertexSet in options.filter
+// is rejected rather than ignored, while VectorSearch converts and applies it.
+TEST(DatabaseSearchTest, SearchRejectsSetFilterThatVectorSearchApplies) {
+  Database db;
+  EmbeddingTypeInfo info;
+  info.dimension = 4;
+  info.model = "M";
+  ASSERT_TRUE(db.schema()->CreateVertexType("Post", {}).ok());
+  ASSERT_TRUE(db.schema()->AddEmbeddingAttr("Post", "emb", info).ok());
+  Transaction txn = db.Begin();
+  std::vector<VertexId> vids;
+  for (int i = 0; i < 8; ++i) {
+    auto vid = txn.InsertVertex("Post", {});
+    ASSERT_TRUE(vid.ok());
+    ASSERT_TRUE(
+        txn.SetEmbedding(*vid, "Post", "emb", {static_cast<float>(i), 0, 0, 0}).ok());
+    vids.push_back(*vid);
+  }
+  ASSERT_TRUE(txn.Commit().ok());
+  const std::vector<float> q = {0, 0, 0, 0};
+  const VertexSet allowed = {vids[5], vids[7]};
+  Database::VectorSearchFnOptions options;
+  options.filter = &allowed;
+  auto searched = db.Search({{"Post", "emb"}}, q, 3, std::nullopt, nullptr, options);
+  ASSERT_FALSE(searched.ok());
+  EXPECT_EQ(searched.status().code(), StatusCode::kInvalidArgument);
+  auto filtered = db.VectorSearch({{"Post", "emb"}}, q, 3, options);
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_EQ(*filtered, allowed);
 }
 
 }  // namespace

@@ -91,6 +91,9 @@ TEST(ObsHistogramTest, BucketBoundsArePowersOfTwoMicros) {
 
 // ---------------- Trace spans ----------------
 
+// Spans and the metrics registry's contents exist only in builds with
+// metrics; TIGERVECTOR_NO_METRICS compiles TV_SPAN and the counters out.
+#if !defined(TIGERVECTOR_NO_METRICS)
 TEST(ObsTraceTest, SpanNestingDepthsAndNames) {
   obs::QueryTrace trace;
   {
@@ -109,6 +112,7 @@ TEST(ObsTraceTest, SpanNestingDepthsAndNames) {
   EXPECT_EQ(spans[1].depth, 0u);
   EXPECT_GE(spans[1].micros, spans[0].micros);
 }
+#endif  // !TIGERVECTOR_NO_METRICS
 
 TEST(ObsTraceTest, NoTraceNoRecording) {
   {
@@ -121,6 +125,7 @@ TEST(ObsTraceTest, NoTraceNoRecording) {
   EXPECT_TRUE(trace.Spans().empty());
 }
 
+#if !defined(TIGERVECTOR_NO_METRICS)
 TEST(ObsTraceTest, CrossThreadActivationJoinsSameTrace) {
   obs::QueryTrace trace;
   ThreadPool pool(4);
@@ -135,6 +140,7 @@ TEST(ObsTraceTest, CrossThreadActivationJoinsSameTrace) {
   EXPECT_EQ(trace.Spans().size(), 8u);
   EXPECT_GT(trace.StageMicros()["worker.stage"], 0.0);
 }
+#endif  // !TIGERVECTOR_NO_METRICS
 
 // ---------------- Exposition formats ----------------
 
@@ -292,6 +298,7 @@ class ObsProfileFixture : public ::testing::Test {
   std::unique_ptr<GsqlSession> session_;
 };
 
+#if !defined(TIGERVECTOR_NO_METRICS)
 TEST_F(ObsProfileFixture, ProfileTopKReportsHnswSearchTime) {
   QueryParams params;
   params["qv"] = std::vector<float>{7, 0, 0, 0};
@@ -309,6 +316,7 @@ TEST_F(ObsProfileFixture, ProfileTopKReportsHnswSearchTime) {
   EXPECT_GT(result->profile_counters["hnsw.distance_evals"], 0u);
   EXPECT_NE(result->profile.find("hnsw.search"), std::string::npos);
 }
+#endif  // !TIGERVECTOR_NO_METRICS
 
 TEST_F(ObsProfileFixture, ProfileKeywordIsCaseInsensitiveAndOptional) {
   QueryParams params;
@@ -328,6 +336,7 @@ TEST_F(ObsProfileFixture, ProfileKeywordIsCaseInsensitiveAndOptional) {
   EXPECT_TRUE(plain->profile.empty());
 }
 
+#if !defined(TIGERVECTOR_NO_METRICS)
 TEST_F(ObsProfileFixture, GlobalRegistryCoversSubsystems) {
   QueryParams params;
   params["qv"] = std::vector<float>{3, 0, 0, 0};
@@ -348,6 +357,7 @@ TEST_F(ObsProfileFixture, GlobalRegistryCoversSubsystems) {
   EXPECT_NE(text.find("tv_wal_appends_total"), std::string::npos);
   EXPECT_NE(text.find("tv_graph_commits_total"), std::string::npos);
 }
+#endif  // !TIGERVECTOR_NO_METRICS
 
 }  // namespace
 }  // namespace tigervector

@@ -349,6 +349,27 @@ TEST_F(QuerySessionFixture, RangeSearch) {
   EXPECT_EQ(got, (std::set<VertexId>{posts_[0], posts_[1], posts_[2]}));
 }
 
+// Two range conjuncts on one node keep the vertices within both: the
+// first search runs unfiltered, the second is filtered by its hits.
+TEST_F(QuerySessionFixture, TwoRangeConjunctsIntersect) {
+  QueryParams params = Params({0, 0, 0, 0});
+  params["qw"] = std::vector<float>{2, 0, 0, 0};
+  const std::string q =
+      "R = SELECT s FROM (s:Post) WHERE VECTOR_DIST(s.content_emb, $qv) < 2.0"
+      " AND VECTOR_DIST(s.content_emb, $qw) < 2.0; PRINT R;";
+  auto result = session_->Run(q, params);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // $qv keeps embeddings 0 and 1, $qw keeps 1 and 2.
+  EXPECT_EQ(result->prints[0].vertices, std::vector<VertexId>{posts_[1]});
+  auto analyzed = session_->Run("EXPLAIN ANALYZE " + q, params);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_NE(analyzed->explain.find("* candidates_in: all (pure range)"),
+            std::string::npos)
+      << analyzed->explain;
+  EXPECT_NE(analyzed->explain.find("* candidates_in: 2"), std::string::npos)
+      << analyzed->explain;
+}
+
 TEST_F(QuerySessionFixture, SimilarityJoinFindsClosestPair) {
   // Pairs (s, t): posts of Alice and posts of people Alice knows.
   auto result = session_->Run(

@@ -145,6 +145,49 @@ TEST(BitmapTest, CountRange) {
   }
 }
 
+TEST(BitmapTest, NextSetWalksSetBitsInOrder) {
+  Bitmap bm(200);
+  const std::vector<size_t> bits = {0, 5, 63, 64, 127, 128, 199};
+  for (size_t i : bits) bm.Set(i);
+  std::vector<size_t> walked;
+  for (size_t i = bm.NextSet(0); i < bm.size(); i = bm.NextSet(i + 1)) {
+    walked.push_back(i);
+  }
+  EXPECT_EQ(walked, bits);
+  EXPECT_EQ(bm.NextSet(6), 63u);
+  EXPECT_EQ(bm.NextSet(65), 127u);
+  EXPECT_EQ(bm.NextSet(200), 200u);
+  EXPECT_EQ(Bitmap(130).NextSet(0), 130u);
+  EXPECT_EQ(Bitmap().NextSet(0), 0u);
+}
+
+// OrAt places a segment-local bitmap at its base vid; segment capacities
+// of 8, 16 and 32 put that base off a word boundary.
+TEST(BitmapTest, OrAtShiftsAcrossWordBoundaries) {
+  for (size_t cap : {8u, 16u, 32u, 70u, 128u}) {
+    for (size_t offset : {size_t{0}, cap, 2 * cap, 3 * cap, 60 * cap / 8}) {
+      Bitmap seg(cap);
+      for (size_t i = 0; i < cap; i += 3) seg.Set(i);
+      seg.Set(cap - 1);
+      Bitmap dst(offset + cap + 64);
+      dst.Set(offset + cap);  // a bit just past the segment is kept
+      dst.OrAt(seg, offset);
+      for (size_t i = 0; i < dst.size(); ++i) {
+        const bool want = i == offset + cap ||
+                          (i >= offset && i < offset + cap && seg.Test(i - offset));
+        ASSERT_EQ(dst.Test(i), want) << "cap=" << cap << " offset=" << offset
+                                     << " bit=" << i;
+      }
+    }
+  }
+  Bitmap exact(40);
+  Bitmap tail(8);
+  tail.Set(7);
+  exact.OrAt(tail, 32);  // ends exactly at size()
+  EXPECT_EQ(exact.NextSet(0), 39u);
+  EXPECT_EQ(exact.Count(), 1u);
+}
+
 TEST(BitmapTest, FilterViewAcceptAll) {
   FilterView fv;
   EXPECT_TRUE(fv.accepts_all());
